@@ -1,41 +1,27 @@
-"""Scaling of the sharded parallel comparison engine (repro.parallel).
+"""Scaling of whole-pair fan-out in the comparison (repro.parallel).
 
-Compares one paper-scale pair (~1.05M packets, light jitter + drops —
-the Section-6.1 regime) serially and under increasing job counts, checks
-the parallel reports are *bit-identical* to serial, and emits the
-wall-time/speedup table to ``benchmarks/out/parallel_analysis.txt``.
-
-The ordering stage gets its own scaling table
-(``test_ordering_stage_scaling``): the prefix-patience sharded LIS
-(:mod:`repro.parallel.ordershard`) against the serial patience sort, plus
-the per-task granularity check behind the engine's schedule — one
-ordering block must be a *shorter* pool task than one timing shard, so
-ordering can never be the longest single task in the pair's fan-out.
-
-Honesty note: the speedup assertion (>= 2x at 4 jobs) only fires when the
-runner actually exposes >= 4 usable cores — on a 1-core container the
-measurement still runs and the exactness checks still bind, but physics
-caps the speedup at ~1x and asserting otherwise would only test the
-hardware.  The serial LIS extraction walk (~0.17 s at 1M rows) stays
-serial in both paths, so ordering-stage speedup saturates near 2x even
-with many cores; the point of the sharding is that the *patience loop*
-(the dominant term) parallelizes and the blocks overlap the timing
-shards.
+Compares a paper-scale series — one baseline plus four repeat runs of
+~1.05M packets each, light jitter + drops, the Section-6.1 regime —
+serially and under increasing job counts, checks the fanned-out reports
+are *bit-identical* to serial, and emits the wall-time/speedup table to
+``benchmarks/out/parallel_analysis.txt``.  Gates: a jobs=2 fan-out must
+be >= 1.25x faster than serial wherever the runner exposes >= 2 usable
+cores, and jobs=4 >= 2x wherever it exposes >= 4; on fewer cores the
+measurement still runs and the exactness checks still bind, but
+asserting a speedup would only test the hardware.
 
 The fused timing kernel gets its own stage table
 (``test_fused_kernel_stage_table``): the single-pass
 :func:`repro.core.fusedpass.fused_timings` against the pre-fusion
-per-component passes it replaced, plus a jobs=2 steady-state parity
-measurement of the engine (batched dispatch + forkserver + segment
-reuse).  Gates: the fused path must stay within 10% of the component
-passes in every mode (regression guard), jobs=2 must reach serial parity
-when the runner actually has a second core, and in full mode the serial
-comparison must beat the recorded pre-fusion baseline by >= 1.25x.
+per-component passes it replaced, plus a jobs=2 measurement of a single
+pair (which by design runs the serial driver, no pool).  Gates: the fused
+path must stay within 10% of the component passes in every mode
+(regression guard), jobs=2 must reach serial parity when the runner
+actually has a second core, and in full mode the serial comparison must
+beat the recorded pre-fusion baseline by >= 1.25x.
 
-``REPRO_BENCH_SMOKE=1`` (CI) shrinks the pair to ~220k packets, skips
-the full engine sweep, and turns the ordering table into a regression
-gate: the sharded in-process ordering stage must stay within 10% of the
-serial stage's wall time.
+``REPRO_BENCH_SMOKE=1`` (CI) shrinks the pair to ~220k packets and skips
+the series sweep.
 """
 
 import os
@@ -44,12 +30,15 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import compare_trials
-from repro.parallel import ParallelComparator
+from repro.core import compare_series, compare_trials
+from repro.parallel import compare_series_parallel
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 N = 221_000 if SMOKE else 1_055_648  # full: the paper's Section-6.1 capture size
-JOB_COUNTS = (1, 2, 4, 8)
+JOB_COUNTS = (2, 4, 8)
+#: Repeat runs in the fan-out series (pairs against the baseline).
+SERIES_RUNS = 4
+SERIES_SPEEDUP_FLOOR = 1.25
 
 #: Serial wall time of this pair before the fused kernel and the
 #: single-argsort/patience-fast-path rewrites (benchmarks/out/
@@ -64,17 +53,25 @@ FUSED_SPEEDUP_FLOOR = 1.25
 
 def _paper_scale_pair(seed=0, n=N):
     """Baseline + one run with jitter, ~0.5% drops and occasional reorders."""
+    a, (b,) = _paper_scale_series(1, seed=seed, n=n)
+    return a, b
+
+
+def _paper_scale_series(n_runs, seed=0, n=N):
+    """One baseline and ``n_runs`` independently jittered, droppy runs."""
     rng = np.random.default_rng(seed)
     times = np.cumsum(rng.exponential(284.0, n))
     tags = np.arange(n, dtype=np.int64)
     from repro.core import Trial
 
-    keep = rng.random(n) > 0.005
-    bt = times[keep] + rng.normal(0.0, 40.0, int(keep.sum()))
-    order = np.argsort(bt, kind="stable")
     a = Trial(tags, times, label="A")
-    b = Trial(tags[keep][order], bt[order], label="B")
-    return a, b
+    runs = []
+    for k in range(n_runs):
+        keep = rng.random(n) > 0.005
+        bt = times[keep] + rng.normal(0.0, 40.0, int(keep.sum()))
+        order = np.argsort(bt, kind="stable")
+        runs.append(Trial(tags[keep][order], bt[order], label=chr(ord("B") + k)))
+    return a, runs
 
 
 def _assert_exact(got, want):
@@ -86,32 +83,38 @@ def _assert_exact(got, want):
     assert np.array_equal(got.latency_hist.counts, want.latency_hist.counts)
 
 
-@pytest.mark.skipif(SMOKE, reason="full engine sweep is not part of smoke mode")
+def _assert_series_exact(got, want):
+    assert len(got.pairs) == len(want.pairs)
+    for g, w in zip(got.pairs, want.pairs):
+        _assert_exact(g, w)
+
+
+@pytest.mark.skipif(SMOKE, reason="full series sweep is not part of smoke mode")
 def test_parallel_analysis_speedup(once, emit, emit_json):
-    a, b = _paper_scale_pair()
+    a, runs = _paper_scale_series(SERIES_RUNS)
+    trials = [a, *runs]
     usable_cores = len(os.sched_getaffinity(0))
 
     def sweep():
-        compare_trials(a, b)  # warm allocator/caches: every config is
+        compare_series(trials)  # warm allocator/caches: every config is
         t0 = time.perf_counter()  # measured at steady state
-        serial = compare_trials(a, b)
+        serial = compare_series(trials)
         serial_s = time.perf_counter() - t0
 
         rows = [("serial", serial_s, 1.0)]
         for jobs in JOB_COUNTS:
-            with ParallelComparator(jobs=jobs) as pc:
-                pc.compare(a, b)  # warm the pool: measure steady state
-                t0 = time.perf_counter()
-                rep = pc.compare(a, b)
-                dt = time.perf_counter() - t0
-            _assert_exact(rep, serial)
+            compare_series_parallel(trials, jobs=jobs)  # warm the pool
+            t0 = time.perf_counter()
+            rep = compare_series_parallel(trials, jobs=jobs)
+            dt = time.perf_counter() - t0
+            _assert_series_exact(rep, serial)
             rows.append((f"jobs={jobs}", dt, serial_s / dt))
         return rows
 
     rows = once(sweep)
 
     lines = [
-        f"parallel comparison scaling, n={N} packets "
+        f"whole-pair fan-out scaling, {SERIES_RUNS} pairs x n={N} packets "
         f"({usable_cores} usable cores)",
         f"{'config':>8s}  {'seconds':>8s}  {'speedup':>7s}",
     ]
@@ -122,12 +125,23 @@ def test_parallel_analysis_speedup(once, emit, emit_json):
     emit("parallel_analysis", "\n".join(lines))
     emit_json(
         "parallel_analysis",
-        {"n_packets": N, "seed": 0, "usable_cores": usable_cores, "smoke": SMOKE},
+        {
+            "n_packets": N,
+            "n_pairs": SERIES_RUNS,
+            "seed": 0,
+            "usable_cores": usable_cores,
+            "smoke": SMOKE,
+        },
         rows[0][1],
         {name: dt for name, dt, _ in rows},
     )
 
     by_name = {name: speedup for name, _, speedup in rows}
+    if usable_cores >= 2:
+        assert by_name["jobs=2"] >= SERIES_SPEEDUP_FLOOR, (
+            f"expected >= {SERIES_SPEEDUP_FLOOR}x speedup at 2 jobs on "
+            f"{usable_cores} cores, got {by_name['jobs=2']:.2f}x"
+        )
     if usable_cores >= 4:
         assert by_name["jobs=4"] >= 2.0, (
             f"expected >= 2x speedup at 4 jobs on {usable_cores} cores, "
@@ -142,6 +156,18 @@ def _best_of(k, fn):
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def _best_of_alternating(k, *fns):
+    """Minimum wall time of each of ``fns`` over k rounds that alternate
+    them, so a drift in host speed hits every contender alike."""
+    best = [float("inf")] * len(fns)
+    for _ in range(k):
+        for j, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            best[j] = min(best[j], time.perf_counter() - t0)
     return best
 
 
@@ -181,15 +207,16 @@ def test_fused_kernel_stage_table(once, emit, emit_json):
         match_s = _best_of(reps, lambda: match_trials(a, b))
 
         want = compare_trials(a, b)  # warm
-        serial_s = _best_of(reps, lambda: compare_trials(a, b))
 
-        # jobs=2 steady state: batched dispatch, forkserver workers,
-        # reused segments.  Pool startup is measured by the sim bench;
-        # here the question is whether a warm two-worker engine holds
-        # parity with the fused serial path.
-        with ParallelComparator(jobs=2) as pc:
-            _assert_exact(pc.compare(a, b), want)  # warm pool + exactness
-            jobs2_s = _best_of(reps, lambda: pc.compare(a, b))
+        # jobs=2 on a single pair: the fan-out runs the serial driver
+        # (a pair is never split), so it must hold parity with it.
+        def jobs2():
+            return compare_series_parallel([a, b], jobs=2).pairs[0]
+
+        _assert_exact(jobs2(), want)
+        serial_s, jobs2_s = _best_of_alternating(
+            reps, lambda: compare_trials(a, b), jobs2
+        )
         return match_s, components_s, fused_s, serial_s, jobs2_s
 
     match_s, components_s, fused_s, serial_s, jobs2_s = once(sweep)
@@ -240,8 +267,8 @@ def test_fused_kernel_stage_table(once, emit, emit_json):
         f"{components_s:.4f}s ({fused_s / components_s:.2f}x)"
     )
 
-    # Parity gate: with the fan-out fixed costs cut, two workers must not
-    # lose to one process — but only where a second core exists; on a
+    # Parity gate: asking for two workers on one pair must not lose to
+    # one process — but only where a second core exists; on a
     # 1-core runner the JSON records why (host.usable_cores).  5% noise
     # allowance: parity, not speedup, is the claim.
     if usable_cores >= 2:
@@ -257,118 +284,3 @@ def test_fused_kernel_stage_table(once, emit, emit_json):
             f"({PREFUSION_SERIAL_S / serial_s:.2f}x)"
         )
 
-
-def test_ordering_stage_scaling(once, emit, emit_json):
-    """The sharded ordering stage: scaling table + task-granularity gate."""
-    from repro.core.matching import match_trials
-    from repro.core.ordering import edit_script_from_matching, b_order_ranks
-    from repro.parallel import (
-        DEFAULT_ORDER_BLOCK_PACKETS,
-        edit_script_from_matching_sharded,
-        patience_block,
-    )
-    from repro.parallel.partials import compute_shard_partial
-    from repro.core import SymlogBins
-
-    a, b = _paper_scale_pair()
-    usable_cores = len(os.sched_getaffinity(0))
-    m = match_trials(a, b)
-    seq = b_order_ranks(m)
-    shard_rows = -(-m.n_common // 4)  # one jobs=4 timing shard's row count
-    reps = 3 if SMOKE else 1  # smoke gates on a ratio: beat the noise down
-
-    def sweep():
-        want = edit_script_from_matching(m)  # warm
-        serial_s = _best_of(reps, lambda: edit_script_from_matching(m))
-
-        rows = [("serial", serial_s, 1.0)]
-        sharded_walls = {}
-        for jobs in JOB_COUNTS:
-            if jobs > 1 and SMOKE:
-                continue  # smoke: in-process gate only (CI runners vary)
-            got = edit_script_from_matching_sharded(m, jobs=jobs)  # warm pool
-            assert np.array_equal(got.lcs_mask_b_order, want.lcs_mask_b_order)
-            assert np.array_equal(got.moved_distances, want.moved_distances)
-            dt = _best_of(
-                reps, lambda j=jobs: edit_script_from_matching_sharded(m, jobs=j)
-            )
-            sharded_walls[jobs] = dt
-            rows.append((f"jobs={jobs}", dt, serial_s / dt))
-
-        # Task granularity: one ordering block vs one jobs=4 timing shard.
-        block_s = _best_of(
-            3, lambda: patience_block(seq, 0, DEFAULT_ORDER_BLOCK_PACKETS)
-        )
-        bins = SymlogBins()
-        shard_s = _best_of(
-            3,
-            lambda: compute_shard_partial(
-                a.times_ns, b.times_ns, m.idx_a, m.idx_b, 0, shard_rows, bins, 10.0
-            ),
-        )
-        return rows, sharded_walls, serial_s, block_s, shard_s
-
-    rows, sharded_walls, serial_s, block_s, shard_s = once(sweep)
-
-    lines = [
-        f"ordering stage (prefix-patience sharded LIS), n_common={m.n_common} "
-        f"({usable_cores} usable cores{', smoke' if SMOKE else ''})",
-        f"{'config':>8s}  {'seconds':>8s}  {'speedup':>7s}",
-    ]
-    for name, dt, speedup in rows:
-        lines.append(f"{name:>8s}  {dt:8.3f}  {speedup:6.2f}x")
-    lines.append("")
-    lines.append(
-        f"longest-task check: ordering block "
-        f"({DEFAULT_ORDER_BLOCK_PACKETS} rows) {block_s * 1e3:.2f} ms "
-        f"vs jobs=4 timing shard ({shard_rows} rows) {shard_s * 1e3:.2f} ms"
-    )
-    lines.append("sharded ordering verified bit-identical to serial")
-    emit("ordering_scaling", "\n".join(lines))
-    per_stage = {name: dt for name, dt, _ in rows}
-    per_stage["one_ordering_block"] = block_s
-    per_stage["one_jobs4_timing_shard"] = shard_s
-    emit_json(
-        "ordering_scaling",
-        {
-            "n_common": int(m.n_common),
-            "seed": 0,
-            "block_packets": DEFAULT_ORDER_BLOCK_PACKETS,
-            "usable_cores": usable_cores,
-            "smoke": SMOKE,
-        },
-        serial_s,
-        per_stage,
-    )
-
-    # The engine's schedule rests on this: an ordering block is a shorter
-    # pool task than a timing shard, so at jobs >= 4 the ordering stage is
-    # never the longest single task of the pair's fan-out.  Single-thread
-    # measurement — holds on any core count.  The claim is about the
-    # paper-scale pair (a smoke-sized pair's timing shards shrink with n
-    # while the block size is fixed), so it binds in full mode only; smoke
-    # still emits both numbers.
-    if not SMOKE:
-        assert block_s < shard_s, (
-            f"an ordering block ({block_s * 1e3:.2f} ms) must undercut a "
-            f"jobs=4 timing shard ({shard_s * 1e3:.2f} ms)"
-        )
-
-    # Regression gate (the CI smoke check): the in-process sharded path —
-    # identical block pipeline, no pool — must stay close to serial.  The
-    # bound was 10% when the serial patience loop dominated at ~0.6 us/row;
-    # the append fast path and the pointer-doubling walk have since cut
-    # serial ~5x, so the merge's fixed milliseconds weigh proportionally
-    # more against a much faster baseline.  25% of the new serial wall is
-    # still several times less absolute overhead than the old 10% was.
-    overhead = sharded_walls[1] / serial_s
-    assert overhead <= 1.25, (
-        f"sharded ordering regressed: {overhead:.2f}x serial "
-        f"({sharded_walls[1]:.3f}s vs {serial_s:.3f}s)"
-    )
-
-    if usable_cores >= 4 and 4 in sharded_walls:
-        assert sharded_walls[4] < serial_s, (
-            f"expected ordering-stage speedup at 4 jobs on {usable_cores} "
-            f"cores, got {serial_s / sharded_walls[4]:.2f}x"
-        )

@@ -28,10 +28,12 @@ Two comparators, two memory stories:
       stream.  A-side *positions* do: the map position → rank over the
       final common set is a strictly increasing bijection, and patience
       state (pile indices, tie-breaks, predecessor links) depends only on
-      the relative order of distinct values — so running the prefix-
-      patience merge of :mod:`repro.parallel.ordershard` over the position
-      sequence, one :func:`~repro.parallel.ordershard.patience_block_values`
-      block per chunk, holds the *exact* serial patience state (indices
+      the relative order of distinct values.  The patience loop is also
+      resumable: it visits elements strictly in order and carries nothing
+      but the pile tails and the predecessor links between them.  So
+      keeping that state live and calling the batch loop itself,
+      :func:`~repro.core.ordering.patience_fill`, on each chunk's
+      position sequence holds the *exact* serial patience state (indices
       and links, element for element) the batch path would compute at
       every prefix.
     * **Batch-identical reductions.**  Per-packet Δl/Δg are computed with
@@ -68,6 +70,7 @@ notes and the exactness argument in full.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,22 +80,19 @@ from ..core.matching import Matching, match_trials, occurrence_ranks
 from ..core.iat import iat_from_deltas, iat_from_matching
 from ..core.latency import latency_from_deltas, latency_from_matching
 from ..core.ordering import (
+    EditScript,
     b_order_ranks,
     edit_script_from_keep,
     edit_script_from_matching,
     lis_indices_from_state,
     ordering_from_matching,
+    patience_fill,
 )
 from ..core.trial import Trial
 from ..core.uniqueness import uniqueness_from_matching
 from ..core.windows import WindowedDeviation, deviation_from_deltas
 from ..obs import metrics
 from ..obs.trace import span
-from ..parallel.ordershard import (
-    PatienceState,
-    merge_block_inplace,
-    patience_block_values,
-)
 from .changepoints import detect_series_steps
 
 __all__ = [
@@ -136,7 +136,7 @@ class StreamKappa:
     sizes); :meth:`result` at any chunk boundary returns the metric vector
     ``compare_trials(baseline, B_prefix).metrics`` would — bit-identical,
     including the global-LCS ordering metric O, which streams through the
-    prefix-patience merge (module docstring has the argument).
+    resumed patience loop (module docstring has the argument).
 
     State grows as O(|baseline| + common packets seen): the global LIS
     keeps predecessor links per common packet.  For bounded-memory
@@ -183,7 +183,11 @@ class StreamKappa:
         self._pos_b = _Grow(np.int64)
         self._dl = _Grow(np.float64)
         self._dg = _Grow(np.float64)
-        self._st = PatienceState(n=0)
+        # Live patience state over the matched A-positions in B order:
+        # pile tails (values and element indices) and predecessor links.
+        self._tails_vals: list[int] = []
+        self._tails_idx: list[int] = []
+        self._prev = _Grow(np.int64)
         self._peak_bytes = self.state_bytes
 
     # ------------------------------------------------------------------
@@ -268,11 +272,14 @@ class StreamKappa:
         dl_new = (t_new - self._first_b) - self._rel_a[pos_a_new]
         dg_new = g_b[present][keep] - self._iats_a[pos_a_new]
 
-        # Streaming O: the chunk's matched A-positions are one patience
-        # block folded into the live prefix state (ordershard docstring:
-        # "accumulated state == serial state over the processed prefix").
-        blk = patience_block_values(pos_a_new, self._pos_a._n)
-        merge_block_inplace(self._st, blk, pos_a_new)
+        # Streaming O: the batch patience loop, resumed on the live state
+        # with this chunk's matched A-positions (-1 = no predecessor).
+        off = self._prev._n
+        self._prev.extend(np.full(n_new, -1, dtype=np.int64))
+        patience_fill(
+            pos_a_new.tolist(), self._tails_vals, self._tails_idx,
+            self._prev.view()[off:], offset=off,
+        )
 
         self._pos_a.extend(pos_a_new)
         self._pos_b.extend(pos_b_new)
@@ -294,6 +301,17 @@ class StreamKappa:
             len_b=self._n_b,
         )
 
+    def edit_script(self) -> EditScript:
+        """The exact batch :class:`~repro.core.ordering.EditScript` of the prefix.
+
+        The canonical LIS keep-mask is walked out of the live patience
+        state and assembled by the same function the batch path uses.
+        """
+        m = self.matching()
+        keep = np.zeros(m.n_common, dtype=bool)
+        keep[lis_indices_from_state(self._tails_idx, self._prev.view())] = True
+        return edit_script_from_keep(m, b_order_ranks(m), keep)
+
     def result(self) -> MetricVector:
         """The metric vector of ``(baseline, stream prefix)`` — batch-exact.
 
@@ -304,18 +322,10 @@ class StreamKappa:
         functions the batch path runs.
         """
         with span("analysis.stream.result", n_common=self._pos_a._n):
-            m = self.matching()
+            script = self.edit_script()
+            m = script.matching
             n_c = m.n_common
             u = uniqueness_from_matching(m)
-
-            keep = np.zeros(n_c, dtype=bool)
-            if n_c:
-                keep[
-                    lis_indices_from_state(
-                        self._st.tails_idx[: self._st.tlen], self._st.prev
-                    )
-                ] = True
-            script = edit_script_from_keep(m, b_order_ranks(m), keep)
             o = ordering_from_matching(m, script)
 
             if n_c == 0:
@@ -370,16 +380,15 @@ class StreamKappa:
     @property
     def state_bytes(self) -> int:
         """Bytes of live mutable state (excluding the baseline arrays)."""
-        st = self._st
         return int(
             self._b_occ.nbytes
             + self._pos_a.nbytes
             + self._pos_b.nbytes
             + self._dl.nbytes
             + self._dg.nbytes
-            + st.tails_vals.nbytes
-            + st.tails_idx.nbytes
-            + st.prev.nbytes
+            + self._prev.nbytes
+            + sys.getsizeof(self._tails_vals)
+            + sys.getsizeof(self._tails_idx)
         )
 
     @property

@@ -39,9 +39,9 @@ MS`` samples engine counters into Chrome ``ph:"C"`` tracks, and
 ``/healthz`` while the command runs.  Commands that simulate or
 run the Section-3 analysis honor ``--jobs N`` (default from ``REPRO_JOBS``
 or 1), fanning both the trial simulation and the comparison across N
-processes via :mod:`repro.parallel` — every comparison stage shards,
-including the global-LCS ordering metric (prefix-patience blocks, see
-:mod:`repro.parallel.ordershard`); output is identical at any job count.
+processes via :mod:`repro.parallel` — one task per simulated run and one
+per (baseline, run) pair, never pieces of a pair; output is identical at
+any job count.
 Every worker draws from one process-global pool, created lazily on the
 first parallel stage and torn down when the command exits — including on
 error paths (see :mod:`repro.parallel.pool`).

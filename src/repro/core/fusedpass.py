@@ -20,8 +20,7 @@ Exactness is inherited, not re-argued:
   of :func:`~repro.core.latency.latency_deltas_ns` and
   :func:`~repro.core.iat.iat_deltas_ns` — gaps reach back to each
   packet's predecessor *in the full trial* by direct indexing, the exact
-  form the parallel shard kernel (:mod:`repro.parallel.partials`) already
-  uses and the differential suites already pin;
+  form the differential suites pin;
 * the final reductions are the canonical single-reduction functions every
   other path runs (:func:`~repro.core.latency.latency_from_deltas`,
   :func:`~repro.core.iat.iat_from_deltas`,

@@ -22,9 +22,9 @@ __all__ = ["SymlogBins", "DeltaHistogram", "pct_within", "pct_within_from_counts
 def pct_within_from_counts(n_within: int, n_total: int) -> float:
     """The ``pct_within`` statistic from precomputed counts.
 
-    Counting is elementwise, so per-shard counts summed across any
-    partition equal the whole-array count; routing both the batch and the
-    parallel path through this one division keeps them bit-identical.
+    Counting is elementwise, so counts accumulated in one pass equal the
+    whole-array count; routing both the fused kernel and the
+    per-component path through this one division keeps them bit-identical.
     """
     if n_total == 0:
         return 0.0
@@ -126,10 +126,10 @@ class DeltaHistogram:
     ) -> "DeltaHistogram":
         """Histogram from precomputed per-bin counts (the merge entry point).
 
-        Binning is elementwise, so integer counts from any shard partition
-        of a delta array sum to exactly the counts :meth:`from_deltas`
-        computes on the whole array; the parallel engine's reducer builds
-        its histograms through this constructor.
+        Binning is elementwise, so integer counts from any partition of a
+        delta array sum to exactly the counts :meth:`from_deltas` computes
+        on the whole array; the fused kernel's report builds its histograms
+        through this constructor.
         """
         bins = bins if bins is not None else SymlogBins()
         counts = np.asarray(counts)

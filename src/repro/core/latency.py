@@ -88,9 +88,9 @@ def latency_span_ns(a: Trial, b: Trial) -> float:
 def latency_from_deltas(deltas: np.ndarray, n_common: int, span_ns: float) -> float:
     """Equation 3 from precomputed signed latency deltas and the span.
 
-    This is the single reduction both the batch and the parallel path run:
-    the parallel engine assembles the full delta array from its shards and
-    calls this exact function, so the two paths are bit-identical.
+    This is the single reduction both the batch and the streaming path run:
+    the streaming comparator assembles the full delta array chunk by chunk
+    and calls this exact function, so the two paths are bit-identical.
     """
     if n_common == 0:
         return 0.0

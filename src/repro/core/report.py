@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..obs.trace import span
 from .fusedpass import fused_timings
 from .histograms import DeltaHistogram, SymlogBins
 from .kappa import KappaScaling, MetricVector
@@ -25,7 +26,13 @@ from .ordering import (
 from .trial import Trial
 from .uniqueness import uniqueness_from_matching
 
-__all__ = ["PairReport", "compare_trials", "RunSeriesReport", "compare_series"]
+__all__ = [
+    "PairReport",
+    "compare_trials",
+    "RunSeriesReport",
+    "compare_series",
+    "label_series",
+]
 
 
 @dataclass(frozen=True)
@@ -89,8 +96,10 @@ def compare_trials(
     ``tests/test_fusedpass.py`` pins against the per-component functions.
     """
     bins = bins if bins is not None else SymlogBins()
-    m = match_trials(baseline, run)
-    script = edit_script(baseline, run, matching=m)
+    with span("analysis.match", n_a=len(baseline), n_b=len(run)):
+        m = match_trials(baseline, run)
+    with span("analysis.order", n_common=m.n_common):
+        script = edit_script(baseline, run, matching=m)
 
     u = uniqueness_from_matching(m)
     o = ordering_from_matching(m, script)
@@ -158,6 +167,26 @@ class RunSeriesReport:
         return [p.row() for p in self.pairs]
 
 
+def label_series(trials: list[Trial]) -> tuple[Trial, list[Trial]]:
+    """Split a series into its baseline and repeat runs, labelled.
+
+    The first trial is the baseline (relabelled ``A`` if unlabelled);
+    unlabelled repeats get ``B``, ``C``, ... in run order.  Every series
+    driver labels through here, so serial and fanned-out reports agree.
+    """
+    if len(trials) < 2:
+        raise ValueError("need a baseline plus at least one repeat run")
+    baseline = trials[0]
+    if not baseline.label:
+        baseline = baseline.relabel("A")
+    runs = []
+    for k, run in enumerate(trials[1:]):
+        if not run.label:
+            run = run.relabel(chr(ord("B") + k) if k < 25 else f"run{k + 1}")
+        runs.append(run)
+    return baseline, runs
+
+
 def compare_series(
     trials: list[Trial],
     environment: str = "",
@@ -168,17 +197,9 @@ def compare_series(
     Mirrors the paper's protocol: the first run is A, later runs are
     labelled B, C, D, E, ... if they carry no label of their own.
     """
-    if len(trials) < 2:
-        raise ValueError("need a baseline plus at least one repeat run")
+    baseline, runs = label_series(trials)
     bins = bins if bins is not None else SymlogBins()
-    baseline = trials[0]
-    if not baseline.label:
-        baseline = baseline.relabel("A")
-    pairs = []
-    for k, run in enumerate(trials[1:]):
-        if not run.label:
-            run = run.relabel(chr(ord("B") + k) if k < 25 else f"run{k + 1}")
-        pairs.append(compare_trials(baseline, run, bins=bins))
+    pairs = [compare_trials(baseline, run, bins=bins) for run in runs]
     return RunSeriesReport(
         environment=environment,
         baseline_label=baseline.label,

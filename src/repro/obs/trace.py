@@ -2,8 +2,8 @@
 
 The paper's whole contribution is making testbed behaviour *measurable*;
 this module does the same for the toolkit's own runtime.  A *span* is one
-timed stage of an invocation — ``span("analysis.shard.timing", lo=0,
-hi=65536)`` — recorded with wall time, CPU time, process id and thread id
+timed stage of an invocation — ``span("analysis.match", n_a=1024,
+n_b=1020)`` — recorded with wall time, CPU time, process id and thread id
 into a thread-safe in-memory buffer.  Exporters
 (:mod:`repro.obs.export`) turn the buffer into a Chrome ``trace_event``
 JSON (loadable in Perfetto), a flat JSONL log, or a human ``--stats``
@@ -29,8 +29,8 @@ Design constraints, in priority order:
    attribution.
 
 Span naming convention: ``package.stage.substage`` — e.g.
-``testbed.record``, ``sim.run``, ``analysis.match.bucket``,
-``analysis.order.block``.  The catalog lives in
+``testbed.record``, ``sim.run``, ``analysis.match``,
+``analysis.pair.whole``.  The catalog lives in
 ``docs/observability.md``.
 
 Clocks: span start is :func:`time.time_ns` (epoch — comparable across
@@ -261,7 +261,7 @@ def span(name: str, **attrs):
 
     With tracing disabled this returns a shared no-op object without
     allocating anything — the fast path the engine's call sites rely on.
-    ``attrs`` annotate the span (keep them small scalars: shard bounds,
+    ``attrs`` annotate the span (keep them small scalars: run labels,
     run indices, row counts).
     """
     if not _enabled:

@@ -18,9 +18,7 @@ results themselves instead of inventing a side channel:
   Perfetto timeline shows the whole fan-out — merges the counter and
   histogram deltas, and feeds the two pool-level distributions:
   ``pool.queue_wait_ns`` (submit → worker pickup) and
-  ``pool.task_wall_ns`` (task body wall time);
-* :func:`run_local` is the ``jobs=1`` twin: the identical span naming
-  for in-process execution, so serial and pooled traces line up.
+  ``pool.task_wall_ns`` (task body wall time).
 
 When tracing is disabled nothing here runs at all — ``submit_task``
 submits the bare task body and results cross the pool unwrapped, byte
@@ -41,7 +39,6 @@ __all__ = [
     "TaskEnvelope",
     "run_traced",
     "run_traced_batch",
-    "run_local",
     "absorb",
 ]
 
@@ -135,19 +132,6 @@ def run_traced_batch(
             metric_deltas=REGISTRY.drain_deltas(),
         ),
     )
-
-
-def run_local(fn, task, name: str, **attrs):
-    """The ``jobs=1`` twin of :func:`run_traced`: same span, in process.
-
-    The span lands directly in the parent buffer (no envelope, no
-    drain), so serial and pooled runs of the same stage produce the same
-    span names and the no-op fast path still applies when disabled.
-    """
-    if not trace.is_enabled():
-        return fn(task)
-    with trace.span(name, **attrs):
-        return fn(task)
 
 
 def absorb(telemetry: TaskTelemetry) -> None:

@@ -11,9 +11,9 @@ This module owns exactly one pool per process instead:
 
 * :func:`get_pool` creates it **lazily** on first use and hands the same
   executor to every caller — the simulation fan-out
-  (:mod:`repro.parallel.simfarm`), the comparison engine
-  (:mod:`repro.parallel.engine`) and the sharded matching
-  (:mod:`repro.parallel.matchshard`) all draw from it;
+  (:mod:`repro.parallel.simfarm`), the whole-pair comparison fan-out
+  (:mod:`repro.parallel.engine`) and the sweep coordinator
+  (:mod:`repro.sweep.coordinator`) all draw from it;
 * :func:`shutdown_pool` tears it down; the CLI calls it in a ``finally``
   so error exits cannot leak workers, and an ``atexit`` hook covers
   library users who never call it;
@@ -38,11 +38,12 @@ re-raised exception carries the remote worker traceback string
 cause.
 
 Observability: :func:`submit_task` is the telemetry-aware front door —
-every fan-out site names its stage (``analysis.shard.timing``,
+every fan-out site names its stage (``analysis.pair.whole``,
 ``sim.run``, ...) and, when tracing is enabled
 (:mod:`repro.obs.trace`), the task runs wrapped in
 :func:`repro.obs.worker.run_traced` so its spans and metric deltas ride
-back on the result; :func:`gather` unwraps those envelopes and merges
+back on the result; :func:`gather` (or :func:`unwrap`, for callers that
+collect results in completion order) unwraps those envelopes and merges
 them parent-side.  With tracing off, ``submit_task`` degenerates to a
 bare ``pool.submit`` plus one counter increment.
 
@@ -56,13 +57,13 @@ copying the parent's full heap of trial arrays (``fork``).  The
 platform default.  :func:`pool_stats` reports the live method, and every
 benchmark JSON records it (:mod:`benchmarks._emit`).
 
-Dispatch cost: :func:`submit_batch` coalesces many small tasks (ordering
-blocks, timing shards) into one pool dispatch per worker — one pickle,
-one queue hop, one result envelope for the whole run of tasks, while
-per-task spans are preserved under tracing
-(:func:`repro.obs.worker.run_traced_batch`).  :func:`batch_chunks` is
-the companion splitter: contiguous, balanced runs so that flattening
-batch results preserves task order.
+Dispatch cost: :func:`submit_batch` coalesces a run of small tasks into
+one pool dispatch — one pickle, one queue hop, one result envelope for
+the whole run of tasks, while per-task spans are preserved under tracing
+(:func:`repro.obs.worker.run_traced_batch`).
+
+:func:`default_jobs` is the worker count every fan-out uses when none is
+given.
 """
 
 from __future__ import annotations
@@ -85,8 +86,9 @@ __all__ = [
     "pool_scope",
     "submit_task",
     "submit_batch",
-    "batch_chunks",
     "gather",
+    "unwrap",
+    "default_jobs",
     "PoolStats",
 ]
 
@@ -112,9 +114,22 @@ def _inflight_add(n: int) -> None:
 
 #: Modules the forkserver template imports once; every worker forks with
 #: them warm.  ``repro.parallel.engine`` transitively pulls in the core
-#: metric kernels, the shard workers and the shm transport — the whole
-#: import graph a comparison task touches.
+#: metric kernels and the shm transport — the whole import graph a
+#: comparison task touches.
 _FORKSERVER_PRELOAD = ["numpy", "repro.parallel.engine", "repro.parallel.simfarm"]
+
+
+def default_jobs() -> int:
+    """The worker count used when none is given: ``REPRO_JOBS`` or 1.
+
+    Serial remains the default — parallelism is opt-in via ``--jobs`` or
+    the environment — so existing workflows keep their exact performance
+    and process profile.
+    """
+    try:
+        return max(1, int(os.environ.get("REPRO_JOBS", "1")))
+    except ValueError:
+        return 1
 
 
 @dataclass(frozen=True)
@@ -222,7 +237,7 @@ def submit_task(
     """Submit one engine task, wrapped for telemetry when tracing is on.
 
     ``name`` is the task's span name (``package.stage.substage``);
-    ``attrs`` annotate it (shard bounds, run index).  With tracing
+    ``attrs`` annotate it (run label, run index).  With tracing
     disabled — the default — this is ``pool.submit(fn, task)`` plus one
     counter increment, and results cross the pool unwrapped.
     """
@@ -234,19 +249,6 @@ def submit_task(
     _inflight_add(1)
     fut.add_done_callback(lambda _f: _inflight_add(-1))
     return fut
-
-
-def batch_chunks(items: list, n_batches: int) -> list[list]:
-    """Split ``items`` into at most ``n_batches`` contiguous balanced runs.
-
-    Chunks are contiguous, so flattening per-chunk results in order
-    reproduces the original item order — the property the engine's merge
-    steps rely on.  Never returns an empty chunk.
-    """
-    n = len(items)
-    k = max(1, min(int(n_batches), n))
-    bounds = [round(j * n / k) for j in range(k + 1)]
-    return [items[bounds[j] : bounds[j + 1]] for j in range(k)]
 
 
 def _run_batch(fn, tasks: list) -> list:
@@ -267,8 +269,8 @@ def submit_batch(
     The future resolves to the list of per-task results in task order.
     Fixed costs — pickling, queue hops, future bookkeeping, telemetry
     envelopes — are paid once per batch instead of once per task; with
-    ~129 ordering blocks per paper-scale pair that is the difference
-    between dispatch overhead rivaling the compute and it disappearing.
+    many small tasks that is the difference between dispatch overhead
+    rivaling the compute and it disappearing.
 
     When tracing is on, every task still gets its own span (``name`` with
     its entry from ``attrs_list``), stamped with the worker pid — batch
@@ -288,8 +290,12 @@ def submit_batch(
     return fut
 
 
-def _unwrap(result):
-    """Absorb a traced task's telemetry; hand back the bare payload."""
+def unwrap(result):
+    """Absorb a traced task's telemetry; hand back the bare payload.
+
+    :func:`gather` applies this to every result; a caller that reads
+    futures itself (e.g. through ``as_completed``) must apply it too.
+    """
     if type(result) is TaskEnvelope:
         absorb(result.telemetry)
         return result.payload
@@ -314,7 +320,7 @@ def gather(futures: list[Future]) -> list:
     swallow the original cause.
     """
     try:
-        return [_unwrap(f.result()) for f in futures]
+        return [unwrap(f.result()) for f in futures]
     except BaseException as exc:
         for f in futures:
             f.cancel()

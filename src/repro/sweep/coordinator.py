@@ -45,7 +45,7 @@ from ..experiments.scenarios import default_duration_scale, scenario
 from ..obs import metrics
 from ..obs.export import host_context
 from ..obs.trace import span
-from ..parallel.shard import default_jobs
+from ..parallel.pool import default_jobs
 from ..testbeds.base import Testbed
 from ..testbeds.profiles import EnvironmentProfile
 from .codec import series_report_from_dict, series_report_to_dict
@@ -261,7 +261,7 @@ def run_sweep(
     if misses:
         with span("sweep.compute", n_units=len(misses), jobs=jobs):
             if jobs > 1 and len(misses) > 1:
-                from ..parallel.pool import get_pool, submit_task
+                from ..parallel.pool import get_pool, submit_task, unwrap
 
                 pool = get_pool(jobs)
                 futures = {}
@@ -279,7 +279,7 @@ def run_sweep(
                     # Persist in completion order: a killed sweep keeps
                     # every finished unit, whatever the schedule was.
                     for f in as_completed(futures):
-                        trials, report_doc, deltas = f.result()
+                        trials, report_doc, deltas = unwrap(f.result())
                         metrics.REGISTRY.merge_deltas(deltas)
                         _persist(futures[f], trials, report_doc)
                 except BaseException:

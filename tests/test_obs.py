@@ -9,7 +9,7 @@ Four contracts under test, mirroring the priority order documented in
    and its drain/merge delta cycle is lossless;
 4. tracing changes **nothing** — every MetricVector and κ of a traced
    comparison is bit-identical to the untraced one, on the serial and
-   the forced-sharded paths alike.
+   the whole-pair fan-out paths alike.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from repro.obs.metrics import (
     bucket_index,
 )
 from repro.obs.trace import span, traced
-from repro.obs.worker import TaskEnvelope, TaskTelemetry, absorb, run_local
-from repro.parallel import ParallelComparator
+from repro.obs.worker import TaskEnvelope, TaskTelemetry, absorb
+from repro.parallel import compare_series_parallel, shutdown_pool
 
 
 @pytest.fixture(autouse=True)
@@ -223,14 +223,6 @@ class TestWorkerTelemetry:
         assert snap["counters"]["sim.runs"] == 4
         assert snap["histograms"]["pool.queue_wait_ns"]["count"] == 1
         assert snap["histograms"]["pool.task_wall_ns"]["count"] == 1
-
-    def test_run_local_matches_pool_naming(self):
-        assert run_local(lambda t: t + 1, 1, "stage.x") == 2
-        assert trace.records() == []  # disabled: straight call
-        trace.enable()
-        assert run_local(lambda t: t + 1, 1, "stage.x", lo=0) == 2
-        (rec,) = trace.records()
-        assert rec.name == "stage.x" and rec.attrs == {"lo": 0}
 
     def test_envelope_is_plain_data(self):
         env = TaskEnvelope("payload", TaskTelemetry(1, 0, 0))
@@ -481,36 +473,33 @@ class TestTracingIsInert:
         assert traced_rep.kappa == ref.kappa
 
     def test_sharded_compare_bit_identical_and_staged(self):
+        """A series fanned out by pairs at jobs=2: traced == untraced, and
+        every stage of the worker-side comparison shows up."""
         a, b = _noisy_pair()
         ref = compare_trials(a, b)
 
-        def sharded():
-            return ParallelComparator(
-                jobs=1,
-                shard_packets=4096,
-                order_block_packets=4096,
-                match_buckets=4,
-            ).compare(a, b)
+        def fanned():
+            return compare_series_parallel([a, b, b], jobs=2).pairs
 
-        untraced = sharded()
-        trace.enable()
-        traced_rep = sharded()
+        try:
+            untraced = fanned()
+            trace.enable()
+            traced = fanned()
+        finally:
+            shutdown_pool()
 
-        for rep in (untraced, traced_rep):
+        for rep in (*untraced, *traced):
             assert rep.metrics == ref.metrics
             assert rep.kappa == ref.kappa
             assert rep.pct_iat_within_10ns == ref.pct_iat_within_10ns
 
         names = {r.name for r in trace.records()}
-        # Every sharded stage shows up, at stage/task granularity.
+        # Every stage shows up, at stage/task granularity.
         for required in (
-            "analysis.pair",
+            "analysis.pair.whole",
             "analysis.match",
-            "analysis.match.bucket",
-            "analysis.shard.timing",
-            "analysis.order.block",
-            "analysis.merge.order",
-            "analysis.merge.timings",
+            "analysis.order",
+            "analysis.fused.timings",
         ):
             assert required in names, f"missing span {required}"
         # Stage granularity, not per-packet: far fewer spans than rows.

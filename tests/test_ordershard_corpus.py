@@ -1,20 +1,24 @@
-"""Adversarial corpus for the sharded ordering metric (prefix-patience LIS).
+"""Adversarial permutation corpus for the ordering metric's patience LIS.
 
 Every case is checked three ways, all exact:
 
 * the serial canonical mask (:func:`repro.core.ordering.lis_membership`)
-  is reproduced element-for-element by :func:`~repro.parallel.lis_mask_sharded`
-  at every job count and block size exercised;
-* the mask's popcount equals the textbook ``O(n·m)`` DP LCS length
+  has the popcount of the textbook ``O(n·m)`` DP LCS length
   (:func:`repro.core.ordering.naive_lcs_length` against the sorted unique
   values — for strict LIS with duplicates, ``LIS(s) == LCS(unique(s), s)``);
-* the mask marks a genuinely strictly-increasing subsequence.
+* the mask marks a genuinely strictly-increasing subsequence;
+* the sequence split into blocks — the chunks of a stream fed to
+  :class:`repro.analysis.streamkappa.StreamKappa`, which resumes the same
+  :func:`~repro.core.ordering.patience_fill` loop on live state — yields
+  that mask element for element at every block size, including 1.
 
-The corpus is the permutations that stress the merge's two moves: splice
-(sorted, reversed, rotations — value intervals nest into tail gaps) and
-replay (organ-pipe, interleaved runs — values straddle earlier blocks),
-plus duplicate-heavy streams that stress the ``bisect_left`` tie-break
-the canonical mask is defined by.
+The corpus is the permutations that stress resumption at block
+boundaries: blocks that land wholly on new piles (sorted), collapse onto
+one pile (reversed), nest into earlier tail gaps (rotations), or straddle
+earlier blocks' values (organ-pipe, interleaved runs), plus
+duplicate-heavy streams that stress the ``bisect_left`` tie-break the
+canonical mask is defined by.  Corpus pairs also run as a series through
+the worker pool (:func:`repro.parallel.compare_series_parallel`).
 
 ``REPRO_DIFF_JOBS`` restricts the job counts (CI splits the matrix);
 ``REPRO_TEST_SEED`` drives the randomized duplicate streams.
@@ -27,21 +31,18 @@ import os
 import numpy as np
 import pytest
 
+from repro.analysis.streamkappa import StreamKappa
+from repro.core import compare_series, compare_trials
 from repro.core.matching import match_trials
 from repro.core.ordering import (
     b_order_ranks,
     edit_script_from_matching,
+    lis_indices_from_state,
     lis_membership,
     naive_lcs_length,
+    patience_fill,
 )
-from repro.parallel import (
-    edit_script_from_matching_sharded,
-    lis_mask_sharded,
-    mask_from_state,
-    merge_blocks,
-    patience_block,
-    plan_order_blocks,
-)
+from repro.parallel import compare_series_parallel
 
 from .conftest import make_trial, suite_rng
 
@@ -63,8 +64,7 @@ def _interleaved_runs(n: int) -> np.ndarray:
     """Two value-disjoint increasing runs interleaved element-wise.
 
     ``[0, m, 1, m+1, 2, ...]`` — every contiguous block straddles both
-    value ranges, so no block's interval nests into one tail gap and the
-    merge must take its replay path.
+    value ranges, so each block rewrites piles earlier blocks built.
     """
     m = (n + 1) // 2
     out = np.empty(n, dtype=np.int64)
@@ -79,7 +79,7 @@ def _dup_stream(n: int, alphabet: int, salt: int) -> np.ndarray:
 
 #: Pinned worst cases.  Sizes are deliberately small enough for the DP
 #: cross-check but large enough that every block size below creates
-#: multi-block merges.
+#: multi-block streams.
 CORPUS: dict[str, np.ndarray] = {
     "sorted": np.arange(144, dtype=np.int64),
     "reversed": np.arange(144, dtype=np.int64)[::-1].copy(),
@@ -100,14 +100,55 @@ CORPUS: dict[str, np.ndarray] = {
 
 
 def _block_sizes(n: int) -> list[int]:
-    """The ISSUE grid: 1, 2, a prime, n−1, n."""
-    return sorted({1, 2, 13, max(1, n - 1), n})
+    """The block grid: 1, 2, a prime, n−1, n."""
+    return sorted({1, 2, 13, max(1, n - 1), max(1, n)})
 
 
 def _check_mask(seq: np.ndarray, mask: np.ndarray) -> None:
     """Structural sanity: the mask marks a strictly increasing subsequence."""
     picked = seq[mask]
     assert np.all(np.diff(picked) > 0)
+
+
+def _corpus_pair(seq: np.ndarray, salt: int = 211):
+    """Baseline A plus a run B whose i-th arrival carries tag ``seq[i]``.
+
+    A holds the sorted tags, so the matched A-positions in B order are
+    ``seq`` with ties broken by arrival (occurrence matching makes every
+    packet unique): for the permutations in the corpus they are ``seq``'s
+    ranks exactly.
+    """
+    n = seq.shape[0]
+    rng = suite_rng(salt)
+    a = make_trial(np.cumsum(rng.exponential(200.0, size=n)), np.sort(seq), label="A")
+    b = make_trial(np.cumsum(rng.exponential(200.0, size=n)), seq, label="B")
+    return a, b
+
+
+def _stream(a, b, chunk: int) -> StreamKappa:
+    sk = StreamKappa(a)
+    for lo in range(0, len(b), chunk):
+        sk.update(b.tags[lo : lo + chunk], b.times_ns[lo : lo + chunk])
+    return sk
+
+
+def _blocked_state(seq: np.ndarray, block: int):
+    """Patience state after feeding ``seq`` block by block, resuming each time.
+
+    Returns the canonical mask walked out of the final state and the pile
+    count after each block.
+    """
+    tails_vals: list = []
+    tails_idx: list[int] = []
+    prev = np.full(seq.shape[0], -1, dtype=np.int64)
+    piles = []
+    for lo in range(0, seq.shape[0], block):
+        hi = min(lo + block, seq.shape[0])
+        patience_fill(seq[lo:hi].tolist(), tails_vals, tails_idx, prev[lo:hi], offset=lo)
+        piles.append(len(tails_idx))
+    mask = np.zeros(seq.shape[0], dtype=bool)
+    mask[lis_indices_from_state(tails_idx, prev)] = True
+    return mask, piles
 
 
 class TestCorpusSerialReference:
@@ -123,66 +164,91 @@ class TestCorpusSerialReference:
 
 
 class TestCorpusShardedExact:
+    """The corpus split into blocks (stream chunks) reproduces the serial
+    canonical mask and the batch metrics exactly."""
+
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_all_block_sizes_in_process(self, name):
-        """jobs=1 (inline specs, same worker code): every block size exact."""
+        """Every block size of the grid: the resumed loop's mask on the
+        sequence itself, and StreamKappa's mask and metrics on its pair."""
         seq = CORPUS[name]
-        want = lis_membership(seq)
+        want_seq = lis_membership(seq)
         want_len = naive_lcs_length(np.unique(seq), seq)
+        a, b = _corpus_pair(seq)
+        perm = b_order_ranks(match_trials(a, b))
+        want_perm = lis_membership(perm)
+        want_metrics = compare_trials(a, b).metrics
         for bp in _block_sizes(seq.shape[0]):
-            got = lis_mask_sharded(seq, jobs=1, block_packets=bp)
-            assert np.array_equal(got, want), (name, bp)
-            assert int(got.sum()) == want_len
-            _check_mask(seq, got)
+            mask, _ = _blocked_state(seq, bp)
+            assert np.array_equal(mask, want_seq), (name, bp)
+            assert int(mask.sum()) == want_len
+            _check_mask(seq, mask)
+            sk = _stream(a, b, bp)
+            got = sk.edit_script().lcs_mask_b_order
+            assert np.array_equal(got, want_perm), (name, bp)
+            assert int(got.sum()) == naive_lcs_length(np.unique(perm), perm)
+            _check_mask(perm, got)
+            assert sk.result() == want_metrics, (name, bp)
 
     @pytest.mark.parametrize("jobs", [j for j in JOB_COUNTS if j > 1] or [2])
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_pooled_block_sizes_exact(self, name, jobs):
-        """Through a live pool: the grid's block sizes stay exact."""
+        """Corpus pairs as a series through a live pool, and streamed at
+        every block size, all equal the serial reports."""
         seq = CORPUS[name]
-        want = lis_membership(seq)
+        a, b = _corpus_pair(seq)
+        _, b2 = _corpus_pair(seq[::-1].copy(), salt=212)
+        trials = [a, b.relabel(""), b2.relabel("")]
+        got = compare_series_parallel(trials, environment=name, jobs=jobs)
+        want = compare_series(trials, environment=name)
+        for g, w in zip(got.pairs, want.pairs):
+            assert g.metrics == w.metrics, (name, jobs)
+            assert g.move_stats == w.move_stats, (name, jobs)
+        perm = b_order_ranks(match_trials(a, b))
+        n_moved = perm.shape[0] - int(lis_membership(perm).sum())
+        assert got.pairs[0].move_stats.n_moved == n_moved
         for bp in _block_sizes(seq.shape[0]):
-            got = lis_mask_sharded(seq, jobs=jobs, block_packets=bp)
-            assert np.array_equal(got, want), (name, bp, jobs)
+            assert _stream(a, b, bp).result() == got.pairs[0].metrics, (name, bp)
 
 
 class TestMergeMoves:
-    """Pin which merge move fires — observability, and a regression guard
-    for the splice condition (the exactness proof's load-bearing branch)."""
-
-    def _merged(self, seq, bp):
-        bounds = plan_order_blocks(seq.shape[0], bp)
-        blocks = [patience_block(seq, lo, hi) for lo, hi in bounds]
-        return merge_blocks(seq, blocks), len(bounds)
+    """How blocks meet the live pile state when the patience loop resumes
+    at a block boundary — and that the mask stays canonical either way."""
 
     def test_sorted_splices_every_block(self):
+        """Every block of a sorted stream lands wholly on new piles."""
         seq = CORPUS["sorted"]
-        st, n_blocks = self._merged(seq, 12)
-        assert (st.spliced, st.replayed) == (n_blocks, 0)
+        mask, piles = _blocked_state(seq, 12)
+        assert piles == [min(12 * (k + 1), seq.shape[0]) for k in range(len(piles))]
+        assert np.array_equal(mask, lis_membership(seq))
 
     def test_reversed_splices_every_block(self):
-        """Descending blocks nest below the accumulated minimum (c == 0)."""
+        """Every block of a descending stream collapses onto pile 0."""
         seq = CORPUS["reversed"]
-        st, n_blocks = self._merged(seq, 12)
-        assert (st.spliced, st.replayed) == (n_blocks, 0)
+        mask, piles = _blocked_state(seq, 12)
+        assert piles == [1] * len(piles)
+        assert np.array_equal(mask, lis_membership(seq))
 
     def test_interleaved_runs_replay(self):
-        """Blocks straddling earlier value ranges must take the replay path."""
+        """Blocks straddling earlier value ranges rewrite earlier piles."""
         seq = CORPUS["interleaved-runs"]
-        st, _ = self._merged(seq, 12)
-        assert st.replayed > 0
-        assert np.array_equal(mask_from_state(st), lis_membership(seq))
+        mask, piles = _blocked_state(seq, 12)
+        # After the first block, each block adds at most half its elements
+        # as new piles: its low-run half overwrites tails already built.
+        assert all(hi - lo <= 6 for lo, hi in zip(piles, piles[1:]))
+        assert np.array_equal(mask, lis_membership(seq))
 
     def test_single_block_is_serial(self):
         seq = CORPUS["duplicate-heavy"]
-        st, n_blocks = self._merged(seq, seq.shape[0])
-        assert n_blocks == 1
-        assert np.array_equal(mask_from_state(st), lis_membership(seq))
+        mask, piles = _blocked_state(seq, seq.shape[0])
+        assert len(piles) == 1
+        assert np.array_equal(mask, lis_membership(seq))
 
 
 class TestDuplicateHeavyEndToEnd:
-    """Duplicate-heavy *trial pairs* through the sharded edit script:
-    every EditScript field bit-identical, not just the mask."""
+    """Duplicate-heavy *trial pairs*: every EditScript field of the
+    streamed comparison bit-identical to batch, not just the mask, and
+    the pooled series equal to serial."""
 
     @pytest.mark.parametrize("jobs", JOB_COUNTS)
     def test_sharded_edit_script_fields_exact(self, jobs):
@@ -191,56 +257,74 @@ class TestDuplicateHeavyEndToEnd:
             tags = rng.integers(0, alphabet, size=trial_n).astype(np.int64)
             times = np.cumsum(rng.exponential(100.0, size=trial_n))
             a = make_trial(times, tags)
-            keep = rng.random(trial_n) > 0.1
-            bt = times[keep] + rng.normal(0.0, 250.0, size=int(keep.sum()))
-            order = np.argsort(bt, kind="stable")
-            b = make_trial(bt[order], tags[keep][order])
+            runs = []
+            for _ in range(2):
+                keep = rng.random(trial_n) > 0.1
+                bt = times[keep] + rng.normal(0.0, 250.0, size=int(keep.sum()))
+                order = np.argsort(bt, kind="stable")
+                runs.append(make_trial(bt[order], tags[keep][order]))
+            b = runs[0]
             m = match_trials(a, b)
             want = edit_script_from_matching(m)
             for bp in _block_sizes(m.n_common):
-                got = edit_script_from_matching_sharded(
-                    m, jobs=jobs, block_packets=bp
-                )
+                got = _stream(a, b, bp).edit_script()
                 assert np.array_equal(got.lcs_mask_b_order, want.lcs_mask_b_order)
                 assert np.array_equal(got.signed_distances, want.signed_distances)
                 assert np.array_equal(got.moved_distances, want.moved_distances)
                 assert np.array_equal(got.deletions_b, want.deletions_b)
                 assert np.array_equal(got.insertions_a, want.insertions_a)
                 assert got.total_distance() == want.total_distance()
+            got_series = compare_series_parallel([a, *runs], jobs=jobs)
+            want_series = compare_series([a, *runs])
+            for g, w in zip(got_series.pairs, want_series.pairs):
+                assert g.metrics == w.metrics
+                assert g.move_stats == w.move_stats
 
     def test_permutation_is_b_order_ranks(self):
-        """The sharded input is the same permutation serial runs on."""
+        """The streamed mask is the LIS of the permutation serial runs on."""
         rng = suite_rng(salt=104)
         tags = rng.integers(0, 5, size=90).astype(np.int64)
         times = np.cumsum(rng.exponential(80.0, size=90))
         a = make_trial(times, tags)
         b = make_trial(np.sort(times + rng.normal(0, 200, 90)), tags)
-        m = match_trials(a, b)
-        seq = b_order_ranks(m)
+        seq = b_order_ranks(match_trials(a, b))
         assert np.array_equal(
-            lis_mask_sharded(seq, jobs=1, block_packets=7), lis_membership(seq)
+            _stream(a, b, 7).edit_script().lcs_mask_b_order, lis_membership(seq)
         )
 
 
 class TestEdgeShapes:
     def test_empty_sequence(self):
-        assert lis_mask_sharded(np.empty(0, dtype=np.int64), jobs=1).shape == (0,)
+        assert lis_membership(np.empty(0, dtype=np.int64)).shape == (0,)
+        a = make_trial([0.0, 1.0], tags=[1, 2])
+        sk = StreamKappa(a)
+        assert sk.edit_script().lcs_mask_b_order.shape == (0,)
 
     def test_single_element(self):
-        got = lis_mask_sharded(np.array([5], dtype=np.int64), jobs=1, block_packets=1)
-        assert np.array_equal(got, np.array([True]))
+        assert np.array_equal(
+            lis_membership(np.array([5], dtype=np.int64)), np.array([True])
+        )
+        a = make_trial([0.0], tags=[5])
+        got = _stream(a, make_trial([3.0], tags=[5]), 1).edit_script()
+        assert np.array_equal(got.lcs_mask_b_order, np.array([True]))
 
     def test_block_larger_than_sequence(self):
         seq = CORPUS["organ-pipe"]
-        got = lis_mask_sharded(seq, jobs=1, block_packets=10_000)
-        assert np.array_equal(got, lis_membership(seq))
+        a, b = _corpus_pair(seq)
+        got = _stream(a, b, 10_000).edit_script().lcs_mask_b_order
+        assert np.array_equal(got, lis_membership(b_order_ranks(match_trials(a, b))))
 
     def test_invalid_block_size(self):
+        """A misshapen block (tags and times disagree in length) is refused."""
+        sk = StreamKappa(make_trial([0.0, 1.0], tags=[1, 2]))
         with pytest.raises(ValueError):
-            plan_order_blocks(10, 0)
+            sk.update(np.array([1, 2]), np.array([0.0]))
 
     def test_noncontiguous_blocks_rejected(self):
+        """A block that does not continue the stream (time goes back) is refused."""
         seq = CORPUS["sorted"]
-        blocks = [patience_block(seq, 12, 24)]  # does not start at row 0
+        a, b = _corpus_pair(seq)
+        sk = StreamKappa(a)
+        sk.update(b.tags[12:24], b.times_ns[12:24])
         with pytest.raises(ValueError):
-            merge_blocks(seq, blocks)
+            sk.update(b.tags[:12], b.times_ns[:12])

@@ -153,6 +153,26 @@ class TestSweepDifferential:
         assert resumed.outcomes == ("hit",) + ("miss",) * (len(plan) - 1)
         assert _sweep_bytes(resumed, tmp_path / "resumed") == cold_bytes
 
+    def test_traced_jobs2_sweep_byte_identical(self, tmp_path):
+        """Tracing a fanned-out sweep changes no byte of ``sweep.json``.
+
+        With tracing on, pool results arrive wrapped in telemetry
+        envelopes; the coordinator must unwrap them like ``gather`` does.
+        """
+        from repro.obs import trace
+
+        plan = _plan()
+        plain = run_sweep(plan, ArtifactStore(tmp_path / "a"), jobs=2)
+        plain_bytes = _sweep_bytes(plain, tmp_path / "plain")
+        trace.enable()
+        try:
+            traced = run_sweep(plan, ArtifactStore(tmp_path / "b"), jobs=2)
+            names = {r.name for r in trace.records()}
+        finally:
+            trace.reset()
+        assert "sweep.unit.remote" in names
+        assert _sweep_bytes(traced, tmp_path / "traced") == plain_bytes
+
     def test_no_resume_recomputes_everything(self, tmp_path):
         """``--no-resume`` ignores (and rewrites) existing entries."""
         plan = _plan()[:1]
