@@ -38,10 +38,10 @@ MS`` samples engine counters into Chrome ``ph:"C"`` tracks, and
 ``--serve-metrics PORT`` exposes ``/metrics`` (Prometheus text) +
 ``/healthz`` while the command runs.  Commands that simulate or
 run the Section-3 analysis honor ``--jobs N`` (default from ``REPRO_JOBS``
-or 1), fanning both the trial simulation and the comparison across N
-processes via :mod:`repro.parallel` — one task per simulated run and one
-per (baseline, run) pair, never pieces of a pair; output is identical at
-any job count.
+or 1), fanning work across N processes in whole units only — one task
+per (baseline, run) pair, plus one per scenario series that ``table2``,
+``validate`` and ``report`` have to simulate (a single series, as in
+``simulate``, replays in-process); output is identical at any job count.
 Every worker draws from one process-global pool, created lazily on the
 first parallel stage and torn down when the command exits — including on
 error paths (see :mod:`repro.parallel.pool`).
@@ -67,8 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_jobs(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--jobs", type=int, default=None, metavar="N",
-            help="worker processes for simulation and analysis (default "
-            "REPRO_JOBS or 1; output is identical at any N)",
+            help="worker processes for whole-series simulation and "
+            "whole-pair analysis (default REPRO_JOBS or 1; output is "
+            "identical at any N)",
         )
         p.add_argument(
             "--store", default=None, metavar="DIR",
@@ -295,7 +296,7 @@ def _cmd_simulate(args) -> int:
     if args.scale is not None:
         trace.set_meta("scale", args.scale)
     print(f"simulating {profile.name} ({profile.describe()}) seed={seed}", file=sys.stderr)
-    trials = Testbed(profile, seed=seed).run_series(args.runs, jobs=args.jobs)
+    trials = Testbed(profile, seed=seed).run_series(args.runs)
     if args.output:
         paths = save_series(trials, args.output)
         print(f"saved {len(paths)} captures under {args.output}", file=sys.stderr)

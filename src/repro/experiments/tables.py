@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from ..analysis.tables import render_table1, table1_rows
 from ..analysis.textplot import render_metric_rows
-from .runner import persistent_store, run_scenario
+from .runner import persistent_store, run_scenario, run_scenarios
 from .scenarios import SCENARIOS
 
 __all__ = [
@@ -76,17 +76,18 @@ def table2(
     stability screen: κ becomes the screened mean and every row gains the
     interval columns (:data:`TABLE2_CI_COLUMNS`).  Screens reuse the
     persistent series store when one is configured, and fan out across
-    ``jobs`` like every other driver.
+    ``jobs`` like every other driver; the point-estimate table goes
+    through :func:`~repro.experiments.runner.run_scenarios`, which
+    simulates the missing series as one pool task each at ``jobs >= 2``.
     """
     if ci_seeds < 1:
         raise ValueError("ci_seeds must be >= 1")
-    rows = []
-    for sc in SCENARIOS:
-        if ci:
-            row = _stability_row(sc, ci_seeds, run_kwargs)
-        else:
-            report = run_scenario(sc.key, **run_kwargs)
-            row = report.mean_row()
+    if ci:
+        rows = [_stability_row(sc, ci_seeds, run_kwargs) for sc in SCENARIOS]
+    else:
+        reports = run_scenarios([sc.key for sc in SCENARIOS], **run_kwargs)
+        rows = [report.mean_row() for report in reports]
+    for sc, row in zip(SCENARIOS, rows):
         if with_paper:
             row.update(
                 paper_U=sc.paper.u,
@@ -95,7 +96,6 @@ def table2(
                 paper_L=sc.paper.l,
                 paper_kappa=sc.paper.kappa,
             )
-        rows.append(row)
     return rows
 
 

@@ -10,8 +10,10 @@ units**, never pieces of one.
   per (baseline, run) pair, each running the serial
   :func:`repro.core.report.compare_trials`; a single pair or ``jobs=1``
   runs serially in-process.
-* :class:`~repro.parallel.simfarm.SimFarm` — per-run ``SeedSequence``
-  fan-out of ``Testbed.run_series`` replays, bit-identical to serial.
+* whole simulated series — one pool task per series missing from the
+  cache (:func:`repro.experiments.runner.run_scenarios`) or per sweep
+  unit (:func:`repro.sweep.run_sweep`); a series is never split into
+  its runs.
 * :mod:`~repro.parallel.pool` — the persistent, process-global worker
   pool every fan-out draws from (one pool per ``repro`` invocation).
 * :mod:`~repro.parallel.shm` — ``multiprocessing.shared_memory``
@@ -33,12 +35,9 @@ from .pool import (
     shutdown_pool,
 )
 from .shm import ArraySpec, ShmArena
-from .simfarm import SimFarm, run_series_parallel
 
 __all__ = [
     "compare_series_parallel",
-    "SimFarm",
-    "run_series_parallel",
     "get_pool",
     "shutdown_pool",
     "pool_stats",

@@ -10,10 +10,10 @@ running with no owner to shut it down.
 This module owns exactly one pool per process instead:
 
 * :func:`get_pool` creates it **lazily** on first use and hands the same
-  executor to every caller — the simulation fan-out
-  (:mod:`repro.parallel.simfarm`), the whole-pair comparison fan-out
-  (:mod:`repro.parallel.engine`) and the sweep coordinator
-  (:mod:`repro.sweep.coordinator`) all draw from it;
+  executor to every caller — the whole-series simulation fan-out
+  (:func:`repro.experiments.runner.run_scenarios`), the whole-pair
+  comparison fan-out (:mod:`repro.parallel.engine`) and the sweep
+  coordinator (:mod:`repro.sweep.coordinator`) all draw from it;
 * :func:`shutdown_pool` tears it down; the CLI calls it in a ``finally``
   so error exits cannot leak workers, and an ``atexit`` hook covers
   library users who never call it;
@@ -39,7 +39,7 @@ cause.
 
 Observability: :func:`submit_task` is the telemetry-aware front door —
 every fan-out site names its stage (``analysis.pair.whole``,
-``sim.run``, ...) and, when tracing is enabled
+``experiment.scenario``, ...) and, when tracing is enabled
 (:mod:`repro.obs.trace`), the task runs wrapped in
 :func:`repro.obs.worker.run_traced` so its spans and metric deltas ride
 back on the result; :func:`gather` (or :func:`unwrap`, for callers that
@@ -115,8 +115,9 @@ def _inflight_add(n: int) -> None:
 #: Modules the forkserver template imports once; every worker forks with
 #: them warm.  ``repro.parallel.engine`` transitively pulls in the core
 #: metric kernels and the shm transport — the whole import graph a
-#: comparison task touches.
-_FORKSERVER_PRELOAD = ["numpy", "repro.parallel.engine", "repro.parallel.simfarm"]
+#: comparison task touches; ``repro.experiments.runner`` holds the
+#: whole-series simulation task and pulls in the simulator.
+_FORKSERVER_PRELOAD = ["numpy", "repro.parallel.engine", "repro.experiments.runner"]
 
 
 def default_jobs() -> int:

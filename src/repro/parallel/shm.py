@@ -1,11 +1,10 @@
 """Shared-memory transport of packet arrays between pool processes.
 
 Pool workers never pickle packet payloads: the parent copies each NumPy
-array (tags, timestamps, recordings) once into a POSIX shared-memory
+array (tags, timestamps) once into a POSIX shared-memory
 segment and ships only a tiny :class:`ArraySpec` handle — segment name,
 shape, dtype — through the process pool.  Workers attach a zero-copy
-view, compute, optionally write results into a shared *output* buffer
-the parent allocated, and detach.  For a paper-scale trial (~1M packets,
+view, compute, and detach.  For a paper-scale trial (~1M packets,
 8 MB of timestamps) this turns per-task IPC from megabytes of pickle
 into a few hundred bytes.
 
@@ -56,8 +55,7 @@ class ArraySpec:
 class ShmArena:
     """Parent-side owner of the shared-memory segments of one fan-out.
 
-    ``share`` copies an existing array in; ``allocate`` creates a zeroed
-    writable buffer (for worker outputs).  The arena owns its segments:
+    ``share`` copies an existing array in.  The arena owns its segments:
     :meth:`close` (or the context manager) closes and unlinks them all,
     after which worker views are invalid — so every task reading them
     must have finished (``gather`` drains a failed batch for exactly
@@ -66,56 +64,22 @@ class ShmArena:
 
     def __init__(self) -> None:
         self._segments: list[shared_memory.SharedMemory] = []
-        self._views: dict[str, np.ndarray] = {}
 
-    # -- construction ----------------------------------------------------
     def share(self, array: np.ndarray) -> ArraySpec:
         """Copy ``array`` into a fresh segment; return its spec."""
         array = np.ascontiguousarray(array)
-        spec, view = self._new(array.shape, array.dtype)
-        if view is None:
+        if array.nbytes == 0:
             return ArraySpec(array.shape, array.dtype.str, array=array)
-        view[...] = array
-        return spec
-
-    def allocate(self, n: int, dtype=np.float64) -> tuple[ArraySpec, np.ndarray]:
-        """A zero-initialized writable buffer of ``n`` elements.
-
-        Returns the spec to ship to workers and the parent's view of the
-        same memory (workers write into it; the parent reads the result).
-        """
-        spec, view = self._new((int(n),), np.dtype(dtype))
-        if view is None:
-            inline = np.zeros(int(n), dtype=dtype)
-            return ArraySpec(inline.shape, inline.dtype.str, array=inline), inline
-        view[...] = 0
-        return spec, view
-
-    def _new(self, shape, dtype) -> tuple[ArraySpec, np.ndarray | None]:
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        if nbytes == 0:
-            return ArraySpec(tuple(shape), dtype.str), None
-        seg = shared_memory.SharedMemory(create=True, size=nbytes)
+        seg = shared_memory.SharedMemory(create=True, size=array.nbytes)
         self._segments.append(seg)
         metrics.counter("shm.segments").add()
-        metrics.counter("shm.bytes_shared").add(nbytes)
-        view = np.ndarray(shape, dtype=dtype, buffer=seg.buf)
-        self._views[seg.name] = view
-        return ArraySpec(tuple(shape), dtype.str, shm_name=seg.name), view
-
-    # -- parent-side access ----------------------------------------------
-    def view(self, spec: ArraySpec) -> np.ndarray:
-        """The parent's view of a spec created by this arena."""
-        if spec.shm_name is None:
-            return spec.array if spec.array is not None else np.empty(
-                spec.shape, dtype=np.dtype(spec.dtype)
-            )
-        return self._views[spec.shm_name]
+        metrics.counter("shm.bytes_shared").add(array.nbytes)
+        np.ndarray(array.shape, dtype=array.dtype, buffer=seg.buf)[...] = array
+        return ArraySpec(array.shape, array.dtype.str, shm_name=seg.name)
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
         """Close and unlink every segment this arena created."""
-        self._views.clear()
         for seg in self._segments:
             try:
                 seg.close()

@@ -145,7 +145,7 @@ def _compute_unit(task: tuple) -> tuple[list[Trial], dict]:
     """Simulate and analyze one unit with the serial reference paths.
 
     Runs in a worker process (or in-process at ``jobs=1``).  Everything
-    here is deliberately serial — ``run_series(jobs=1)`` plus
+    here is deliberately serial — ``run_series`` plus
     ``compare_series`` — so a stored artifact is the bit-exact output of
     ``analyze_trials`` regardless of how the *sweep* fans out.  The
     report travels codec-encoded: the same bytes that will be stored and
@@ -155,7 +155,7 @@ def _compute_unit(task: tuple) -> tuple[list[Trial], dict]:
     with span(
         "sweep.unit", environment=profile.name, seed=int(seed), n_runs=int(n_runs)
     ):
-        trials = Testbed(profile, seed=seed).run_series(n_runs, jobs=1)
+        trials = Testbed(profile, seed=seed).run_series(n_runs)
         report = compare_series(trials, environment=profile.name)
     metrics.counter("sweep.units_computed").add()
     return trials, series_report_to_dict(report)

@@ -24,9 +24,11 @@ record phase plus one **per run**.  Every run therefore owns a private,
 independent random stream keyed only by ``(seed, series index, run
 index)`` — a run's packets do not depend on how many runs precede it, in
 which order runs execute, or whether they execute in this process at all.
-That independence is what lets :class:`repro.parallel.simfarm.SimFarm`
-fan runs out across the persistent worker pool with bit-identical
-results at any ``jobs`` count.
+:meth:`Testbed.run_series` replays the runs in-process, one after the
+other; parallelism sits one level up, where a whole series is the unit
+(one pool task per series in :func:`repro.experiments.runner.run_scenarios`
+and in the sweep coordinator), so the trials are bit-identical wherever
+the series runs.
 """
 
 from __future__ import annotations
@@ -110,9 +112,9 @@ def series_seed_plan(seed: int, n_runs: int, series_index: int = 0) -> SeriesSee
 def build_nodes(profile: EnvironmentProfile) -> list[ChoirNode]:
     """The environment's replay nodes, fresh and in standby.
 
-    Node construction is deterministic given the profile — workers of the
-    simulation fan-out rebuild identical nodes from the pickled profile
-    and only the recordings travel through shared memory.
+    Node construction is deterministic given the profile, so every run
+    of a series rebuilds identical nodes and only the recordings carry
+    over from the record phase.
     """
     return [
         ChoirNode(
@@ -134,13 +136,13 @@ def simulate_run(
     run_seq: np.random.SeedSequence,
     label: str = "",
 ) -> RunArtifacts:
-    """Simulate one replay run from its seed sequence — the fan-out unit.
+    """Simulate one replay run from its seed sequence.
 
     Rebuilds fresh nodes, arms them with the (immutable) recordings, and
-    replays with a private generator seeded from ``run_seq``.  This is the
-    exact function the serial path runs in-process and the worker pool
-    runs remotely; a run's output depends only on ``(profile, recordings,
-    run_seq, label)``, never on sibling runs.
+    replays with a private generator seeded from ``run_seq``.  A run's
+    output depends only on ``(profile, recordings, run_seq, label)``,
+    never on sibling runs or the order :meth:`Testbed.run_series` calls
+    them in.
     """
     nodes = build_nodes(profile)
     if len(recordings) != len(nodes):
@@ -277,13 +279,23 @@ class Testbed:
         With ``collect_artifacts=True`` returns ``(trials, artifacts)``.
         Labels default to the paper's A, B, C, ... convention.
 
-        ``jobs`` fans the (seed-independent) runs out across the
-        persistent worker pool; ``None`` honors ``REPRO_JOBS`` (default
-        1 — in-process).  The trials are bit-identical at any job count:
-        each run's stream comes from its own spawned
-        :class:`~numpy.random.SeedSequence` (see :func:`series_seed_plan`),
-        so fan-out changes scheduling, never sampling.
+        The runs replay in-process, one :func:`simulate_run` each from
+        its own spawned :class:`~numpy.random.SeedSequence` (see
+        :func:`series_seed_plan`).  A series is never split across
+        processes: callers that want parallel simulation fan out whole
+        series instead (:func:`repro.experiments.runner.run_scenarios`,
+        :func:`repro.sweep.run_sweep`).
+
+        ``jobs`` only accepts ``None`` or ``1`` and changes nothing: it
+        stays so that callers written when runs were fanned out one per
+        pool task (the benchmark harness in ``perfbench/`` passes
+        ``jobs=1``) keep working.  Any other value raises ``ValueError``.
         """
+        if jobs not in (None, 1):
+            raise ValueError(
+                f"run_series replays in-process (got jobs={jobs!r}); fan out "
+                "whole series instead"
+            )
         if n_runs < 1:
             raise ValueError("n_runs must be >= 1")
         plan = series_seed_plan(self.seed, n_runs, series_index=self._series_count)
@@ -299,12 +311,19 @@ class Testbed:
 
         if labels is None:
             labels = [chr(ord("A") + i) if i < 26 else f"run{i}" for i in range(n_runs)]
+        elif len(labels) != n_runs:
+            raise ValueError("labels must match n_runs in length")
 
-        from ..parallel.simfarm import SimFarm
-
-        artifacts = SimFarm(jobs=jobs).run_series(
-            self.profile, recordings, plan.runs, labels
-        )
+        metrics.counter("sim.runs").add(n_runs)
+        artifacts = []
+        with trace.span("sim.series", n_runs=n_runs):
+            for i, (run_seq, label) in enumerate(zip(plan.runs, labels)):
+                with trace.span("sim.run", run=i):
+                    # Looked up as a module global on every call, so a
+                    # wrapper bound over ``simulate_run`` sees each run.
+                    artifacts.append(
+                        simulate_run(self.profile, recordings, run_seq, label)
+                    )
         trials = [a.trial for a in artifacts]
         if collect_artifacts:
             return trials, artifacts

@@ -4,8 +4,9 @@
 old pool-per-series churn; these tests make it a *tested property*:
 
 * lazy creation — importing, or running any serial path, creates nothing;
-* reuse — the simulation fan-out and the analysis engine draw from the
-  same executor within one invocation (``created_total`` moves by one);
+* reuse — the whole-series simulation fan-out and the analysis engine
+  draw from the same executor within one invocation (``created_total``
+  moves by one);
 * teardown — ``pool_scope`` and the CLI drain the pool on normal exit
   *and* on error paths (the leak the old per-comparator pools had);
 * failure containment — a raising worker task doesn't poison the pool,
@@ -22,6 +23,8 @@ import pytest
 
 import repro.cli as cli
 from repro.core import compare_series
+from repro.experiments import runner
+from repro.experiments.runner import run_scenarios
 from repro.obs import metrics, trace
 from repro.parallel import (
     compare_series_parallel,
@@ -35,6 +38,10 @@ from repro.testbeds import Testbed, local_single_replayer
 from .test_parallel_differential import assert_series_equal
 
 PROFILE = local_single_replayer().at_duration(3e6)
+#: Two registered scenarios at a tiny scale: enough for a whole-series
+#: fan-out (one pool task per missing series).
+KEYS = ["local-single", "local-dual"]
+TINY = 0.01
 
 
 @pytest.fixture(autouse=True)
@@ -47,6 +54,13 @@ def _clean_pool():
     shutdown_pool()
     trace.reset()
     metrics.REGISTRY.reset()
+
+
+@pytest.fixture
+def cold_runner(monkeypatch):
+    """An empty scenario-series cache and no persistent store."""
+    monkeypatch.setattr(runner, "_series_cache", {})
+    monkeypatch.setattr(runner, "_store", None)
 
 
 def _boom(_arg):
@@ -63,7 +77,7 @@ class TestLaziness:
 
     def test_serial_paths_never_create_a_pool(self):
         before = pool_stats().created_total
-        trials = Testbed(PROFILE, seed=3).run_series(3, jobs=1)
+        trials = Testbed(PROFILE, seed=3).run_series(3)
         compare_series(trials, environment=PROFILE.name)
         compare_series_parallel(trials, environment=PROFILE.name, jobs=1)
         # A single pair runs serially at any job count.
@@ -78,21 +92,19 @@ class TestLaziness:
 
 
 class TestReuse:
-    def test_one_pool_spans_simulation_and_analysis(self):
+    def test_one_pool_spans_simulation_and_analysis(self, cold_runner):
         """The full simulate+analyze pipeline creates exactly one pool."""
         before = pool_stats().created_total
-        trials = Testbed(PROFILE, seed=3).run_series(3, jobs=2)
-        rep = compare_series_parallel(trials, environment=PROFILE.name, jobs=2)
+        reps = run_scenarios(KEYS, duration_scale=TINY, n_runs=3, jobs=2)
         stats = pool_stats()
         assert stats.active is True
         assert stats.jobs == 2
         assert stats.created_total == before + 1
-        # And the shared-pool report is still the serial report, exactly.
-        want = compare_series(
-            Testbed(PROFILE, seed=3).run_series(3, jobs=1),
-            environment=PROFILE.name,
-        )
-        assert_series_equal(rep, want)
+        # And the shared-pool reports are still the serial reports, exactly.
+        runner._series_cache.clear()
+        want = run_scenarios(KEYS, duration_scale=TINY, n_runs=3, jobs=1)
+        for got_rep, want_rep in zip(reps, want):
+            assert_series_equal(got_rep, want_rep)
 
     def test_same_executor_returned(self):
         assert get_pool(2) is get_pool(2)
@@ -151,13 +163,14 @@ class TestCliOwnership:
         assert rc == 2
         assert pool_stats().active is False
 
-    def test_cli_success_creates_exactly_one_pool(self, monkeypatch, capsys):
+    def test_cli_success_creates_exactly_one_pool(
+        self, monkeypatch, capsys, cold_runner
+    ):
         """One --jobs invocation: exactly one pool, gone afterwards."""
         created = []
 
         def counting_command(args):
-            trials = Testbed(PROFILE, seed=1).run_series(2, jobs=2)
-            compare_series_parallel(trials, environment=PROFILE.name, jobs=2)
+            run_scenarios(KEYS, duration_scale=TINY, n_runs=3, jobs=2)
             created.append(pool_stats().created_total)
             return 0
 
@@ -216,40 +229,46 @@ class TestFailureContainment:
 
 
 class TestWorkerTelemetryRoundTrip:
-    def test_spans_and_counters_cross_the_pool(self):
+    def test_spans_and_counters_cross_the_pool(self, cold_runner):
         """A traced fan-out ships worker spans back, pid-attributed."""
         import os
 
         trace.enable()
-        trials = Testbed(PROFILE, seed=3).run_series(3, jobs=2)
+        reps = run_scenarios(KEYS, duration_scale=TINY, n_runs=3, jobs=2)
         spans = trace.records()
+        # One whole-series task per scenario, each replaying its runs
+        # inside the worker.
+        series_spans = [s for s in spans if s.name == "experiment.scenario"]
+        assert sorted(s.attrs["key"] for s in series_spans) == sorted(KEYS)
         run_spans = [s for s in spans if s.name == "sim.run"]
-        assert len(run_spans) == 3
-        worker_pids = {s.pid for s in run_spans}
+        assert len(run_spans) == 3 * len(KEYS)
+        worker_pids = {s.pid for s in series_spans + run_spans}
         assert os.getpid() not in worker_pids
-        # The parent-side series span is in the same buffer.
-        assert any(
-            s.name == "sim.series" and s.pid == os.getpid() for s in spans
-        )
         snap = metrics.REGISTRY.snapshot()
-        assert snap["counters"]["sim.runs"] == 3
-        assert snap["histograms"]["pool.queue_wait_ns"]["count"] == 3
-        assert snap["histograms"]["pool.task_wall_ns"]["count"] == 3
+        assert snap["counters"]["sim.runs"] == 3 * len(KEYS)
+        # Two series tasks plus two whole-pair tasks per series.
+        n_tasks = snap["counters"]["pool.tasks_submitted"]
+        assert n_tasks == len(KEYS) * 3
+        assert snap["histograms"]["pool.queue_wait_ns"]["count"] == n_tasks
+        assert snap["histograms"]["pool.task_wall_ns"]["count"] == n_tasks
         # And tracing changed nothing: bit-identical to the untraced serial run.
-        want = Testbed(PROFILE, seed=3).run_series(3, jobs=1)
-        for got_t, want_t in zip(trials, want):
-            assert got_t.times_ns.tobytes() == want_t.times_ns.tobytes()
+        trace.disable()
+        runner._series_cache.clear()
+        want = run_scenarios(KEYS, duration_scale=TINY, n_runs=3, jobs=1)
+        for got_rep, want_rep in zip(reps, want):
+            assert_series_equal(got_rep, want_rep)
 
-    def test_untraced_pool_results_stay_bare(self):
+    def test_untraced_pool_results_stay_bare(self, cold_runner):
         """With tracing off the wrapper never runs — no envelopes, no spans."""
-        Testbed(PROFILE, seed=3).run_series(2, jobs=2)
+        run_scenarios(KEYS, duration_scale=TINY, n_runs=2, jobs=2)
+        assert pool_stats().active is True
         assert trace.records() == []
 
     def test_traced_analysis_covers_shard_stages(self):
         """Whole-pair analysis at jobs=2 emits worker-pid pair spans."""
         import os
 
-        trials = Testbed(PROFILE, seed=3).run_series(3, jobs=1)
+        trials = Testbed(PROFILE, seed=3).run_series(3)
         trace.enable()
         rep = compare_series_parallel(trials, environment=PROFILE.name, jobs=2)
         names_by_pid: dict[int, set[str]] = {}
@@ -287,7 +306,7 @@ class TestTrackerQuiet:
             "from repro.testbeds import Testbed, local_single_replayer\n"
             "if __name__ == '__main__':\n"
             "    profile = local_single_replayer().at_duration(3e6)\n"
-            "    trials = Testbed(profile, seed=11).run_series(3, jobs=2)\n"
+            "    trials = Testbed(profile, seed=11).run_series(3)\n"
             "    compare_series_parallel(trials, environment=profile.name, jobs=2)\n"
             "    shutdown_pool()\n"
         )

@@ -22,6 +22,7 @@ from repro.core import compare_trials
 from repro.core.ordering import lis_indices_from_state, lis_membership, patience_fill
 from repro.obs import metrics
 from repro.parallel import ShmArena, compare_series_parallel
+from repro.parallel.shm import attach_view, detach_all
 
 from .conftest import make_trial, suite_rng
 from .test_parallel_differential import assert_pair_equal
@@ -248,23 +249,27 @@ class TestShardPlanner:
 class TestShmArena:
     def test_roundtrip_and_isolation(self):
         rng = np.random.default_rng(55)
-        data = rng.normal(size=257)
-        with ShmArena() as arena:
-            spec = arena.share(data)
-            view = arena.view(spec)
-            assert np.array_equal(view, data)
-            data[0] += 1.0  # the segment holds a copy, not a reference
-            assert view[0] != data[0]
+        for dtype in (np.float64, np.int64):
+            data = rng.normal(size=257).astype(dtype)
+            attachments: dict = {}
+            with ShmArena() as arena:
+                spec = arena.share(data)
+                assert spec.shm_name is not None
+                view = attach_view(spec, attachments)
+                assert view.dtype == data.dtype
+                assert np.array_equal(view, data)
+                data[0] += 1  # the segment holds a copy, not a reference
+                assert view[0] != data[0]
+                detach_all(attachments)
+            assert attachments == {}
 
     def test_zero_length_is_inline(self):
+        attachments: dict = {}
         with ShmArena() as arena:
-            spec = arena.share(np.empty(0, dtype=np.float64))
-            assert spec.shm_name is None
-            assert arena.view(spec).size == 0
-
-    def test_allocate_zeroed_buffer(self):
-        with ShmArena() as arena:
-            spec, buf = arena.allocate(64)
-            assert buf.shape == (64,) and not buf.any()
-            buf[:] = 3.5
-            assert np.array_equal(arena.view(spec), np.full(64, 3.5))
+            for dtype in (np.float64, np.int64):
+                spec = arena.share(np.empty(0, dtype=dtype))
+                assert spec.shm_name is None
+                view = attach_view(spec, attachments)
+                assert view.size == 0 and view.dtype == np.dtype(dtype)
+        # Inline arrays never attach a segment.
+        assert attachments == {}

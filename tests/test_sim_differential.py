@@ -1,13 +1,16 @@
 """Differential suite: the simulation fan-out must equal serial *exactly*.
 
-The contract of :class:`repro.parallel.SimFarm` (and of
-``Testbed.run_series(jobs=N)`` on top of it) is the same as the analysis
-engine's: fan-out never changes a single bit.  Every assertion here is
-``==`` / ``np.array_equal`` — never ``approx`` — over a grid of scenario
-shapes (quiet single-replayer, reordered dual-replayer merge, droppy
-shared-port under background noise) and job counts, covering the trial
-packet arrays, the recorded per-run seed keys, the run diagnostics, and
-the downstream Section-3 κ reports computed from the trials.
+Simulation fans out whole series only — one pool task per series, whose
+body (``repro.experiments.runner._simulate_series``) runs the serial
+``Testbed.run_series`` in the worker.  The contract is the same as the
+analysis engine's: fan-out never changes a single bit.  Every assertion
+here is ``==`` / ``np.array_equal`` — never ``approx`` — over a grid of
+scenario shapes (quiet single-replayer, reordered dual-replayer merge,
+droppy shared-port under background noise) and job counts, covering the
+trial packet arrays, the recorded per-run seed keys, the run
+diagnostics, and the downstream Section-3 κ reports computed from the
+trials.  At ``jobs=1`` the task body runs in-process; at ``jobs >= 2``
+every grid series is one task on a pool of that size.
 
 ``REPRO_DIFF_JOBS`` (comma-separated, e.g. ``2,4``) restricts the job
 counts exercised — CI uses it to split the matrix across runners.
@@ -21,7 +24,9 @@ import numpy as np
 import pytest
 
 from repro.core import compare_series
-from repro.parallel import shutdown_pool
+from repro.experiments.runner import _simulate_series
+from repro.parallel import compare_series_parallel, gather, get_pool, shutdown_pool
+from repro.parallel.pool import submit_task
 from repro.testbeds import (
     Testbed,
     fabric_shared_40g_noisy,
@@ -60,9 +65,29 @@ def _reference(scenario: str):
     if scenario not in _reference_cache:
         profile = SCENARIOS[scenario]()
         _reference_cache[scenario] = Testbed(profile, seed=SEED).run_series(
-            N_RUNS, collect_artifacts=True, jobs=1
+            N_RUNS, collect_artifacts=True
         )
     return _reference_cache[scenario]
+
+
+#: Grid series per job count, simulated as whole-series tasks.
+_fanned_cache: dict = {}
+
+
+def _fanned(scenario: str, jobs: int):
+    """``scenario``'s trials from one fan-out of the whole grid at ``jobs``."""
+    if jobs not in _fanned_cache:
+        names = sorted(SCENARIOS)
+        tasks = [(SCENARIOS[name](), SEED, N_RUNS) for name in names]
+        if jobs == 1:
+            series = [_simulate_series(task) for task in tasks]
+        else:
+            pool = get_pool(jobs)
+            series = gather(
+                [submit_task(pool, _simulate_series, task) for task in tasks]
+            )
+        _fanned_cache[jobs] = dict(zip(names, series))
+    return _fanned_cache[jobs][scenario]
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -97,26 +122,22 @@ class TestSimulationDifferential:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     @pytest.mark.parametrize("jobs", JOB_COUNTS)
     def test_series_bit_identical(self, scenario, jobs):
-        """run_series(jobs=N) == run_series(jobs=1), bit-for-bit."""
-        want_trials, want_arts = _reference(scenario)
-        profile = SCENARIOS[scenario]()
-        got_trials, got_arts = Testbed(profile, seed=SEED).run_series(
-            N_RUNS, collect_artifacts=True, jobs=jobs
-        )
+        """A whole-series task at ``jobs`` == in-process run_series, bit-for-bit."""
+        want_trials, _ = _reference(scenario)
+        got_trials = _fanned(scenario, jobs)
         assert len(got_trials) == len(want_trials) == N_RUNS
         for g, w in zip(got_trials, want_trials):
             assert_trial_equal(g, w)
-        for g, w in zip(got_arts, want_arts):
-            assert_artifacts_equal(g, w)
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     @pytest.mark.parametrize("jobs", [j for j in JOB_COUNTS if j > 1] or [2])
     def test_downstream_kappa_reports_identical(self, scenario, jobs):
-        """Section-3 reports from fanned-out trials equal the serial ones."""
+        """Reports of fanned-out trials, analysed on the same pool, equal serial."""
         want_trials, _ = _reference(scenario)
         profile = SCENARIOS[scenario]()
-        got_trials = Testbed(profile, seed=SEED).run_series(N_RUNS, jobs=jobs)
-        got = compare_series(got_trials, environment=profile.name)
+        got = compare_series_parallel(
+            list(_fanned(scenario, jobs)), environment=profile.name, jobs=jobs
+        )
         want = compare_series(want_trials, environment=profile.name)
         assert_series_equal(got, want)
         for g, w in zip(got.pairs, want.pairs):

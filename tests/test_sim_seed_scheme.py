@@ -3,10 +3,11 @@
 Two properties make the simulation fan-out trustworthy:
 
 1. **Independence** — a run's random stream is keyed only by
-   ``(seed, series index, run index)``.  Permuting the order runs are
-   submitted to the pool, changing the pool size, or running in-process
-   must never change any individual trial's packets.  These are property
-   tests over :class:`repro.parallel.SimFarm` itself.
+   ``(seed, series index, run index)``.  Calling
+   :func:`~repro.testbeds.base.simulate_run` on the runs in any order,
+   or on one run alone, must reproduce the matching element of
+   ``Testbed.run_series`` bit for bit — which is also why a whole series
+   gives the same trials in any process.
 
 2. **Stability** — the derivation ``SeedSequence(seed) -> series ->
    (record, run_0..run_{n-1})`` is a public reproducibility contract.
@@ -21,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.parallel import SimFarm, shutdown_pool
 from repro.testbeds import Testbed, local_dual_replayer
 from repro.testbeds.base import series_seed_plan, simulate_run
 
@@ -31,14 +31,8 @@ PROFILE = local_dual_replayer().at_duration(3e6)
 N_RUNS = 4
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _teardown_pool():
-    yield
-    shutdown_pool()
-
-
 def _recorded(seed: int = 5):
-    """One recording phase; returns (plan, recordings) for direct SimFarm use."""
+    """One recording phase; returns (plan, recordings) for direct replays."""
     tb = Testbed(PROFILE, seed=seed)
     plan = series_seed_plan(seed, N_RUNS)
     nodes = tb._build_nodes()
@@ -46,49 +40,45 @@ def _recorded(seed: int = 5):
     return plan, [node.recording for node in nodes]
 
 
+def _series_artifacts(seed: int = 5):
+    """``run_series``' artifacts for the plan :func:`_recorded` derives."""
+    _, artifacts = Testbed(PROFILE, seed=seed).run_series(
+        N_RUNS, collect_artifacts=True
+    )
+    return artifacts
+
+
 class TestSeedIndependence:
     def test_submission_order_is_irrelevant(self):
-        """Every permutation of submission order yields identical runs."""
+        """simulate_run in any permutation reproduces run_series, run by run."""
         plan, recordings = _recorded()
         labels = [chr(ord("A") + i) for i in range(N_RUNS)]
-        farm = SimFarm(jobs=2)
-        want = farm.run_series(PROFILE, recordings, plan.runs, labels)
-        for order in ([3, 2, 1, 0], [1, 3, 0, 2], [2, 0, 3, 1]):
-            got = farm.run_series(
-                PROFILE, recordings, plan.runs, labels, submit_order=order
-            )
-            for g, w in zip(got, want):
-                assert_artifacts_equal(g, w)
-
-    def test_pool_size_is_irrelevant(self):
-        """jobs=1 (in-process), 2 and 3 produce bit-identical runs."""
-        plan, recordings = _recorded()
-        labels = ["A", "B", "C", "D"]
-        want = SimFarm(jobs=1).run_series(PROFILE, recordings, plan.runs, labels)
-        for jobs in (2, 3):
-            got = SimFarm(jobs=jobs).run_series(
-                PROFILE, recordings, plan.runs, labels
-            )
-            for g, w in zip(got, want):
-                assert_artifacts_equal(g, w)
+        want = _series_artifacts()
+        for order in ([0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2], [2, 0, 3, 1]):
+            got = {
+                i: simulate_run(PROFILE, recordings, plan.runs[i], labels[i])
+                for i in order
+            }
+            for i in range(N_RUNS):
+                assert_artifacts_equal(got[i], want[i])
 
     def test_single_run_matches_series_element(self):
         """simulate_run on run i's seed reproduces series element i alone."""
         plan, recordings = _recorded()
-        series = SimFarm(jobs=1).run_series(
-            PROFILE, recordings, plan.runs, ["A", "B", "C", "D"]
-        )
+        series = _series_artifacts()
         # Simulating ONLY run 2 — no preceding runs at all — must give the
         # exact same packets: that is what per-run seeding means.
         alone = simulate_run(PROFILE, recordings, plan.runs[2], label="C")
         assert_artifacts_equal(alone, series[2])
 
-    def test_bad_submit_order_rejected(self):
-        plan, recordings = _recorded()
-        with pytest.raises(ValueError):
-            SimFarm(jobs=1).run_series(
-                PROFILE, recordings, plan.runs, ["A"] * N_RUNS, submit_order=[0, 0, 1, 2]
-            )
+    def test_run_series_replays_in_process_only(self):
+        """run_series takes no fan-out: jobs is None or 1, nothing else."""
+        assert len(Testbed(PROFILE, seed=5).run_series(2, jobs=1)) == 2
+        for jobs in (0, 2, 4):
+            with pytest.raises(ValueError, match="in-process"):
+                Testbed(PROFILE, seed=5).run_series(2, jobs=jobs)
+        with pytest.raises(ValueError, match="labels"):
+            Testbed(PROFILE, seed=5).run_series(2, labels=["A"])
 
 
 class TestPinnedDerivation:

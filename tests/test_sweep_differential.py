@@ -81,7 +81,7 @@ _reference_cache: dict = {}
 def _reference(scenario: str):
     if scenario not in _reference_cache:
         profile = SCENARIOS[scenario]()
-        trials = Testbed(profile, seed=SEED).run_series(N_RUNS, jobs=1)
+        trials = Testbed(profile, seed=SEED).run_series(N_RUNS)
         report = compare_series(trials, environment=profile.name)
         _reference_cache[scenario] = (trials, report)
     return _reference_cache[scenario]
@@ -228,10 +228,10 @@ class TestDigestIsExecutionShapeFree:
     def test_runner_and_sweep_share_entries(self, tmp_path):
         """``run_scenario_trials --store`` feeds and reads the same cache.
 
-        A runner-side simulate (jobs=1) writes a trials-only entry; a
-        second runner call at jobs=4 in a "new process" (in-process cache
-        cleared) must hit the store instead of re-simulating, and a sweep
-        over the same cell upgrades the entry in place.
+        A runner-side simulate writes a trials-only entry; a second
+        runner call in a "new process" (in-process cache cleared) must hit
+        the store instead of re-simulating, and a sweep over the same cell
+        upgrades the entry in place.
         """
         from repro.experiments.scenarios import scenario
         from repro.obs import metrics
@@ -241,7 +241,7 @@ class TestDigestIsExecutionShapeFree:
         configure_store(str(store_dir))
         try:
             kwargs = dict(duration_scale=0.02, n_runs=2)
-            cold = run_scenario_trials("local-single", jobs=1, **kwargs)
+            cold = run_scenario_trials("local-single", **kwargs)
             store = runner._persistent_store()
             assert store.stats.writes == 1
 
@@ -249,7 +249,7 @@ class TestDigestIsExecutionShapeFree:
             before = metrics.REGISTRY.snapshot()["counters"].get(
                 "runner.store_hits", 0
             )
-            warm = run_scenario_trials("local-single", jobs=4, **kwargs)
+            warm = run_scenario_trials("local-single", **kwargs)
             after = metrics.REGISTRY.snapshot()["counters"].get(
                 "runner.store_hits", 0
             )
