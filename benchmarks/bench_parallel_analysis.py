@@ -214,8 +214,10 @@ def test_fused_kernel_stage_table(once, emit, emit_json):
             return compare_series_parallel([a, b], jobs=2).pairs[0]
 
         _assert_exact(jobs2(), want)
+        # More rounds than the stage timings: the parity bound is tight,
+        # and host noise is a larger share of a faster compare_trials.
         serial_s, jobs2_s = _best_of_alternating(
-            reps, lambda: compare_trials(a, b), jobs2
+            7 if SMOKE else 9, lambda: compare_trials(a, b), jobs2
         )
         return match_s, components_s, fused_s, serial_s, jobs2_s
 

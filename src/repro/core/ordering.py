@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..obs import metrics
 from .matching import Matching, match_trials
 from .trial import Trial
 
@@ -169,30 +170,79 @@ def lis_indices_from_state(tails_idx: list[int], prev: np.ndarray) -> np.ndarray
     return out
 
 
-def longest_increasing_subsequence(seq: np.ndarray) -> np.ndarray:
-    """Indices of one longest strictly-increasing subsequence of ``seq``.
+def _patience_lis(seq: np.ndarray) -> np.ndarray:
+    """The plain patience loop and predecessor walk over all of ``seq``.
 
-    Patience sorting with predecessor chaining: ``O(n log n)`` time,
-    ``O(n)`` space.  Returns indices in increasing order.  For equal-length
-    candidates the algorithm returns the LIS whose members' values are
+    Indices of the canonical LIS, in increasing order.  For equal-length
+    candidates the walk returns the LIS whose members' values are
     piecewise smallest (the classic tails-array construction).
     """
-    seq = np.asarray(seq)
-    n = seq.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.intp)
     tails_vals: list = []  # smallest tail value of an inc. run of each length
     tails_idx: list[int] = []  # index of that tail element in seq
-    prev = np.full(n, -1, dtype=np.intp)  # predecessor links
+    prev = np.full(seq.shape[0], -1, dtype=np.intp)  # predecessor links
     patience_fill(seq.tolist(), tails_vals, tails_idx, prev)
     return lis_indices_from_state(tails_idx, prev)
 
 
 def lis_membership(seq: np.ndarray) -> np.ndarray:
-    """Boolean mask over ``seq`` marking one canonical LIS's members."""
-    mask = np.zeros(np.asarray(seq).shape[0], dtype=bool)
-    mask[longest_increasing_subsequence(seq)] = True
+    """Boolean mask over ``seq`` marking one canonical LIS's members.
+
+    The mask of the plain patience loop over all of ``seq``, computed by
+    cut blocks.  Cut after index ``i`` wherever ``max(seq[:i+1]) <
+    min(seq[i+1:])``: every value of a later block is then strictly above
+    every value of an earlier one (ties never split), so patience never
+    touches an earlier block's piles and the canonical walk crosses each
+    cut at the previous block's top tail.  The mask is therefore the
+    concatenation of the per-block canonical masks, for any sequence,
+    duplicates included:
+
+    * a singleton block is its own LIS and is marked in one vectorised
+      pass;
+    * the other blocks stay value-separated once the singletons are
+      removed, so one patience run over ``seq[non-singletons]`` walks out
+      the concatenation of their canonical LISs.
+
+    A sequence with no singleton (fully reordered) runs patience on
+    ``seq`` itself, with no gather.  In the near-identity permutations the
+    paper's regime produces, almost every row is a singleton and skips
+    the patience loop; the ``ordering.patience_rows`` counter records how
+    many rows each call sent through it.
+
+    Only the mask is exact: predecessor links of non-LIS pile-0 rows
+    differ from a whole-sequence run, so stateful consumers
+    (:class:`repro.analysis.streamkappa.StreamKappa`) resume plain
+    :func:`patience_fill` instead.
+    """
+    seq = np.asarray(seq)
+    n = seq.shape[0]
+    patience_rows = metrics.counter("ordering.patience_rows")
+    # edges[i] is True where a cut falls before row i (row 0 and the end
+    # are always edges); a row with an edge on both sides is a singleton.
+    edges = np.ones(n + 1, dtype=bool)
+    np.less(
+        np.maximum.accumulate(seq[:-1]),
+        np.minimum.accumulate(seq[:0:-1])[::-1],
+        out=edges[1:-1],
+    )
+    mask = edges[:-1] & edges[1:]
+    if not mask.any():
+        patience_rows.add(n)
+        mask[_patience_lis(seq)] = True
+        return mask
+    rows = np.flatnonzero(~mask)
+    patience_rows.add(rows.shape[0])
+    mask[rows[_patience_lis(seq[rows])]] = True
     return mask
+
+
+def longest_increasing_subsequence(seq: np.ndarray) -> np.ndarray:
+    """Indices of one longest strictly-increasing subsequence of ``seq``.
+
+    The members of :func:`lis_membership`'s canonical mask, in increasing
+    order: patience sorting with predecessor chaining, ``O(n log n)``
+    time, ``O(n)`` space, run only over the rows the cut blocks leave.
+    """
+    return np.flatnonzero(lis_membership(seq))
 
 
 def naive_lcs_length(a: np.ndarray, b: np.ndarray) -> int:

@@ -20,6 +20,13 @@ duplicate-heavy streams that stress the ``bisect_left`` tie-break the
 canonical mask is defined by.  Corpus pairs also run as a series through
 the worker pool (:func:`repro.parallel.compare_series_parallel`).
 
+A second corpus stresses the cut blocks by which
+:func:`~repro.core.ordering.lis_membership` skips the patience loop (one
+far-displaced element, ties at a would-be cut, runs of 2-blocks,
+singletons between nested blocks), each checked against the
+whole-sequence patience loop, the DP length and the
+``ordering.patience_rows`` counter.
+
 ``REPRO_DIFF_JOBS`` restricts the job counts (CI splits the matrix);
 ``REPRO_TEST_SEED`` drives the randomized duplicate streams.
 """
@@ -39,9 +46,11 @@ from repro.core.ordering import (
     edit_script_from_matching,
     lis_indices_from_state,
     lis_membership,
+    longest_increasing_subsequence,
     naive_lcs_length,
     patience_fill,
 )
+from repro.obs import metrics
 from repro.parallel import compare_series_parallel
 
 from .conftest import make_trial, suite_rng
@@ -96,6 +105,54 @@ CORPUS: dict[str, np.ndarray] = {
     "duplicate-heavy": _dup_stream(140, 7, salt=101),
     "binary-tags": _dup_stream(150, 2, salt=102),
     "all-equal": np.zeros(130, dtype=np.int64),
+}
+
+
+def _swapped_pairs(n: int) -> np.ndarray:
+    """``[1, 0, 3, 2, ...]``: a run of 2-blocks (an odd tail stays put)."""
+    out = np.arange(n, dtype=np.int64)
+    even = n - n % 2
+    out[0:even:2] += 1
+    out[1:even:2] -= 1
+    return out
+
+
+def _nested_blocks() -> np.ndarray:
+    """Singleton runs between blocks whose interiors hold smaller blocks.
+
+    ``[3, 1, 0, 2]`` and the displaced frame around a rotation are one
+    block each: one out-of-place element merges what would otherwise be
+    several blocks (or singletons) inside it.
+    """
+    pieces = [
+        np.arange(0, 5),  # singletons
+        5 + np.array([3, 1, 0, 2]),  # a block with a 2-block inside
+        np.arange(9, 12),  # singletons
+        12 + np.concatenate([[9], np.roll(np.arange(9), 3)]),  # frame + rotation
+        np.arange(22, 24),  # singletons
+        24 + np.concatenate([_swapped_pairs(6), [7, 6]])[::-1],  # a reversed run of pairs
+        np.arange(32, 36),  # singletons
+        36 + np.array([1, 0, 2, 4, 3]),  # two 2-blocks around a singleton
+    ]
+    return np.concatenate(pieces).astype(np.int64)
+
+
+#: Cases built for the cut blocks of :func:`lis_membership` (cut after
+#: ``i`` where ``max(seq[:i+1]) < min(seq[i+1:])``): where cuts fall,
+#: where they must not, and how many rows skip the patience loop.
+CUT_CORPUS: dict[str, np.ndarray] = {
+    "empty": np.empty(0, dtype=np.int64),
+    "length-1": np.array([7], dtype=np.int64),
+    "reversed": np.arange(97, dtype=np.int64)[::-1].copy(),
+    "far-displaced-first": np.concatenate([[119], np.arange(119)]).astype(np.int64),
+    "far-displaced-last": np.concatenate([np.arange(1, 120), [0]]).astype(np.int64),
+    "duplicates-at-cut": np.repeat(np.arange(40, dtype=np.int64), 2),
+    "duplicates-straddle": np.array(
+        [0, 1, 2, 3, 3, 4, 5, 5, 5, 6, 8, 7, 7, 9, 9, 10], dtype=np.int64
+    ),
+    "swapped-pairs": _swapped_pairs(120),
+    "swapped-pairs-odd": _swapped_pairs(121),
+    "nested-blocks": _nested_blocks(),
 }
 
 
@@ -161,6 +218,72 @@ class TestCorpusSerialReference:
         _check_mask(seq, mask)
         want_len = naive_lcs_length(np.unique(seq), seq)
         assert int(mask.sum()) == want_len
+
+
+def _patience_rows() -> int:
+    return metrics.counter("ordering.patience_rows").value
+
+
+class TestCutBlocks:
+    """The cut-block mask against the whole-sequence patience loop."""
+
+    @pytest.mark.parametrize("name", sorted(CUT_CORPUS))
+    def test_mask_is_whole_sequence_patience(self, name):
+        seq = CUT_CORPUS[name]
+        want, piles = _blocked_state(seq, max(1, seq.shape[0]))
+        assert len(piles) <= 1
+        mask = lis_membership(seq)
+        assert np.array_equal(mask, want)
+        _check_mask(seq, mask)
+        assert int(mask.sum()) == naive_lcs_length(np.unique(seq), seq)
+        assert np.array_equal(
+            longest_increasing_subsequence(seq), np.flatnonzero(want)
+        )
+
+    def test_far_displaced_element_merges_everything(self):
+        """One element displaced across the sequence leaves no cut: every
+        row runs the patience loop."""
+        for name in ("far-displaced-first", "far-displaced-last"):
+            seq = CUT_CORPUS[name]
+            before = _patience_rows()
+            lis_membership(seq)
+            assert _patience_rows() - before == seq.shape[0], name
+
+    def test_ties_never_split(self):
+        """A cut needs ``max(prefix) < min(suffix)``: equal values on both
+        sides of a boundary stay in one block, which keeps one of them."""
+        seq = CUT_CORPUS["duplicates-at-cut"]
+        before = _patience_rows()
+        mask = lis_membership(seq)
+        assert _patience_rows() - before == seq.shape[0]
+        # bisect_left replaces a tie in place: the later copy is kept.
+        assert np.array_equal(mask, np.tile([False, True], 40))
+
+    def test_two_blocks_keep_their_second_element(self):
+        seq = CUT_CORPUS["swapped-pairs-odd"]
+        mask = lis_membership(seq)
+        want = np.tile([False, True], 60).tolist() + [True]
+        assert mask.tolist() == want
+
+    def test_only_reordered_rows_run_patience(self):
+        seq = CUT_CORPUS["nested-blocks"]
+        before = _patience_rows()
+        lis_membership(seq)
+        # 4 + 10 + 8 + 2 + 2 rows sit in non-singleton blocks.
+        assert _patience_rows() - before == 26
+
+    def test_identity_pair_adds_no_patience_rows(self):
+        a, b = _corpus_pair(CORPUS["sorted"])
+        before = _patience_rows()
+        compare_trials(a, b)
+        assert _patience_rows() == before
+
+    def test_reversed_pair_adds_every_row(self):
+        seq = CORPUS["reversed"]
+        a, b = _corpus_pair(seq)
+        before = _patience_rows()
+        compare_trials(a, b)
+        assert _patience_rows() - before == seq.shape[0]
 
 
 class TestCorpusShardedExact:

@@ -22,6 +22,7 @@ from repro.core import (
     ordering_variation,
     uniqueness_variation,
 )
+from repro.core.ordering import lis_indices_from_state, lis_membership, patience_fill
 
 # --------------------------------------------------------------------------
 # Strategies
@@ -173,6 +174,34 @@ def test_lis_output_is_valid_increasing_subsequence(seq):
     if idx.shape[0] > 1:
         assert np.all(np.diff(idx) > 0)
         assert np.all(np.diff(seq[idx]) > 0)
+
+
+@st.composite
+def near_sorted_with_duplicates(draw):
+    """A sorted run with repeated values, a few elements moved away and a
+    little bounded jitter: many cut blocks, ties at would-be cuts."""
+    n = draw(st.integers(0, 120))
+    repeat = draw(st.integers(1, 4))
+    seq = np.arange(n, dtype=np.int64) // repeat
+    for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, n - 1))
+        seq = np.insert(np.delete(seq, i), j, seq[i])
+    jitter = draw(hnp.arrays(np.int64, n, elements=st.integers(-1, 1)))
+    return seq + jitter * draw(st.booleans())
+
+
+@given(near_sorted_with_duplicates())
+@settings(max_examples=200, deadline=None)
+def test_lis_membership_equals_plain_patience(seq):
+    """The cut-block mask is the whole-sequence patience walk's mask."""
+    tails_vals: list = []
+    tails_idx: list[int] = []
+    prev = np.full(seq.shape[0], -1, dtype=np.int64)
+    patience_fill(seq.tolist(), tails_vals, tails_idx, prev)
+    want = np.zeros(seq.shape[0], dtype=bool)
+    want[lis_indices_from_state(tails_idx, prev)] = True
+    assert np.array_equal(lis_membership(seq), want)
 
 
 @given(hnp.arrays(np.int64, st.integers(0, 100), elements=st.integers(0, 10)))
