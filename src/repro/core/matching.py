@@ -16,6 +16,12 @@ first ``min(count_A, count_B)`` occurrences of every matched tag is a
 grouped ``arange``.  (An earlier version packed ``(tag id, occurrence)``
 into 64-bit keys and ran :func:`numpy.intersect1d` — two extra sorts and a
 key-space overflow guard for the identical pair set.)
+
+Replayer tags are unique in practice (every Table-2 trial), and then every
+occurrence group has length one: the pair set is the plain intersection of
+the two sorted tag arrays — the sorted arrays themselves when they are
+equal, else one ``searchsorted`` and an equality mask — with no group
+bookkeeping (``match.unique_pairs`` counts the pairs that take this path).
 """
 
 from __future__ import annotations
@@ -155,32 +161,46 @@ def match_tag_arrays(
     new_a = np.empty(na, dtype=bool)
     new_a[0] = True
     np.not_equal(sorted_a[1:], sorted_a[:-1], out=new_a[1:])
-    starts_a = np.flatnonzero(new_a)
-    vals_a = sorted_a[starts_a]
-    counts_a = np.diff(np.append(starts_a, na))
-
     new_b = np.empty(nb, dtype=bool)
     new_b[0] = True
     np.not_equal(sorted_b[1:], sorted_b[:-1], out=new_b[1:])
-    starts_b = np.flatnonzero(new_b)
-    vals_b = sorted_b[starts_b]
-    counts_b = np.diff(np.append(starts_b, nb))
 
-    # Tags present on both sides: for each B group, the A group holding
-    # the same value (if any).
-    pos = np.searchsorted(vals_a, vals_b)
-    in_range = np.flatnonzero(pos < vals_a.size)
-    bsel = in_range[vals_a[pos[in_range]] == vals_b[in_range]]
-    asel = pos[bsel]
+    if new_a.all() and new_b.all():
+        # Unique tags on both sides: every run has length one, so the pair
+        # set is the plain intersection of the sorted arrays.
+        metrics.counter("match.unique_pairs").add()
+        if na == nb and np.array_equal(sorted_a, sorted_b):
+            ia, ib = sa, sb
+        else:
+            # A B tag past A's end is compared with A's largest tag,
+            # which is smaller, so it matches nothing.
+            pos = np.minimum(np.searchsorted(sorted_a, sorted_b), na - 1)
+            bsel = np.flatnonzero(sorted_a[pos] == sorted_b)
+            ia, ib = sa[pos[bsel]], sb[bsel]
+    else:
+        starts_a = np.flatnonzero(new_a)
+        vals_a = sorted_a[starts_a]
+        counts_a = np.diff(np.append(starts_a, na))
+        starts_b = np.flatnonzero(new_b)
+        vals_b = sorted_b[starts_b]
+        counts_b = np.diff(np.append(starts_b, nb))
 
-    # Occurrence pairing: the first min(count_A, count_B) elements of each
-    # matched run, generated with one grouped arange across all tags.
-    take = np.minimum(counts_a[asel], counts_b[bsel])
-    total = int(take.sum())
-    group = np.repeat(np.arange(take.size), take)
-    occ = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(take) - take, take)
-    ia = sa[starts_a[asel][group] + occ]
-    ib = sb[starts_b[bsel][group] + occ]
+        # Tags present on both sides: for each B group, the A group
+        # holding the same value (if any).
+        pos = np.searchsorted(vals_a, vals_b)
+        in_range = np.flatnonzero(pos < vals_a.size)
+        bsel = in_range[vals_a[pos[in_range]] == vals_b[in_range]]
+        asel = pos[bsel]
+
+        # Occurrence pairing: the first min(count_A, count_B) elements of
+        # each matched run, generated with one grouped arange across all
+        # tags.
+        take = np.minimum(counts_a[asel], counts_b[bsel])
+        total = int(take.sum())
+        group = np.repeat(np.arange(take.size), take)
+        occ = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(take) - take, take)
+        ia = sa[starts_a[asel][group] + occ]
+        ib = sb[starts_b[bsel][group] + occ]
 
     order = np.argsort(ia, kind="stable")
     return (

@@ -121,6 +121,16 @@ class PacketArray:
             return PacketArray(
                 np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.float64)
             ), np.empty(0, np.int64)
+        filled = [i for i, b in enumerate(batches) if len(b)]
+        if len(filled) == 1:
+            # One batch is already in time order: the stable merge is the
+            # identity on it.
+            (k,) = filled
+            b = batches[k]
+            return (
+                PacketArray(b.tags, b.sizes, b.times_ns),
+                np.full(len(b), k, dtype=np.int64),
+            )
         tags = np.concatenate([b.tags for b in batches])
         sizes = np.concatenate([b.sizes for b in batches])
         times = np.concatenate([b.times_ns for b in batches])

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Trial, match_trials, occurrence_ranks
+from repro.core.matching import match_tag_arrays
+from repro.net import make_tags
+from repro.obs import metrics
 
 from .conftest import comb_trial, make_trial
 
@@ -157,3 +162,116 @@ class TestArgsortCache:
         before = self._argsorts()
         compare_trials(a, b)
         assert self._argsorts() - before == 1
+
+
+def naive_match(tags_a, tags_b):
+    """The Section-3 ``(tag, occurrence)`` matching by dictionary lookup."""
+    where_b, seen_b = {}, {}
+    for j, tag in enumerate(tags_b.tolist()):
+        occ = seen_b.get(tag, 0)
+        seen_b[tag] = occ + 1
+        where_b[(tag, occ)] = j
+    ia, ib, seen_a = [], [], {}
+    for i, tag in enumerate(tags_a.tolist()):
+        occ = seen_a.get(tag, 0)
+        seen_a[tag] = occ + 1
+        if (tag, occ) in where_b:
+            ia.append(i)
+            ib.append(where_b[(tag, occ)])
+    return np.array(ia, dtype=np.intp), np.array(ib, dtype=np.intp)
+
+
+def _through_grouped_path(tags_a, tags_b):
+    """``match_tag_arrays`` forced onto the grouped (duplicate-tag) path.
+
+    Appending two copies of a tag absent from B gives A a duplicate
+    without changing which rows match or where.
+    """
+    absent = np.int64(max(tags_a.max(initial=0), tags_b.max(initial=0)) + 1)
+    return match_tag_arrays(np.append(tags_a, [absent, absent]), tags_b)
+
+
+def _unique_pairs() -> int:
+    return metrics.counter("match.unique_pairs").value
+
+
+def _assert_same(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == np.intp
+        np.testing.assert_array_equal(g, w)
+
+
+unique_tags = st.lists(st.integers(-50, 50), unique=True, max_size=40).map(
+    lambda xs: np.array(xs, dtype=np.int64)
+)
+
+
+class TestUniqueTagPath:
+    """Unique tags on both sides take the plain-intersection path."""
+
+    @given(unique_tags, unique_tags)
+    @settings(max_examples=200, deadline=None)
+    def test_unique_path_equals_grouped_path(self, tags_a, tags_b):
+        before = _unique_pairs()
+        fast = match_tag_arrays(tags_a, tags_b)
+        took_fast = _unique_pairs() - before
+        assert took_fast == (tags_a.size > 0 and tags_b.size > 0)
+        slow = _through_grouped_path(tags_a, tags_b)
+        assert _unique_pairs() - before == took_fast
+        _assert_same(fast, slow)
+        _assert_same(fast, naive_match(tags_a, tags_b))
+
+    @given(unique_tags, st.lists(st.integers(-50, 50), max_size=40), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_one_side_unique(self, unique, repeated, swap):
+        repeated = np.array(repeated + repeated[:3], dtype=np.int64)
+        tags_a, tags_b = (repeated, unique) if swap else (unique, repeated)
+        before = _unique_pairs()
+        got = match_tag_arrays(tags_a, tags_b)
+        if np.unique(repeated).size < repeated.size:
+            assert _unique_pairs() == before
+        _assert_same(got, naive_match(tags_a, tags_b))
+
+    @given(unique_tags, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_subset_and_permutation(self, tags, data):
+        perm = np.array(data.draw(st.permutations(tags.tolist())), dtype=np.int64)
+        keep = data.draw(st.lists(st.booleans(), min_size=tags.size, max_size=tags.size))
+        subset = perm[np.array(keep, dtype=bool)] if tags.size else perm
+        for a, b in ((tags, perm), (tags, subset), (subset, tags)):
+            _assert_same(match_tag_arrays(a, b), naive_match(a, b))
+            _assert_same(match_tag_arrays(a, b), _through_grouped_path(a, b))
+
+    def test_disjoint_and_empty(self):
+        a = np.arange(5, dtype=np.int64)
+        for b in (np.arange(10, 15, dtype=np.int64), np.empty(0, dtype=np.int64)):
+            for x, y in ((a, b), (b, a)):
+                ia, ib = match_tag_arrays(x, y)
+                assert ia.size == ib.size == 0
+                assert ia.dtype == ib.dtype == np.intp
+
+    def test_duplicate_pair_adds_no_unique_count(self):
+        a = make_trial([0, 1, 2], tags=[5, 5, 7])
+        b = make_trial([0, 1, 2, 3], tags=[5, 8, 5, 5])
+        before = _unique_pairs()
+        match_trials(a, b)
+        assert _unique_pairs() == before
+
+    def test_table2_shaped_pair_adds_one(self):
+        # Replayer tags (make_tags) of a dual-replayer capture: a sorted
+        # baseline, and a run with a few neighbours swapped and drops.
+        rng = np.random.default_rng(7)
+        base = np.sort(np.concatenate([make_tags(5000), make_tags(5000, replayer_id=1)]))
+        run = base.copy()
+        swap = 2 * rng.choice(run.size // 2, 200, replace=False)
+        run[swap], run[swap + 1] = run[swap + 1], run[swap]
+        run = np.delete(run, rng.choice(run.size, 30, replace=False))
+        before = _unique_pairs()
+        got = match_tag_arrays(base, run)
+        assert _unique_pairs() - before == 1
+        _assert_same(got, _through_grouped_path(base, run))
+        before = _unique_pairs()
+        ia, ib = match_tag_arrays(base, base)
+        assert _unique_pairs() - before == 1
+        np.testing.assert_array_equal(ia, np.arange(base.size))
+        np.testing.assert_array_equal(ib, np.arange(base.size))

@@ -88,6 +88,36 @@ class TestPacketArray:
         _, src = PacketArray.merge([a, b])
         np.testing.assert_array_equal(src, [0, 1])
 
+    def test_single_filled_batch_equals_general_merge(self):
+        # One non-empty batch skips the concatenate/argsort work; the
+        # result must be what the general stable merge computes.
+        times = np.array([0.0, 3.0, 3.0, 7.5, 9.0])
+        b = PacketArray(
+            make_tags(5, replayer_id=3), np.array([64, 1500, 64, 9000, 128]), times,
+            meta={"stage": "egress"},
+        )
+        empty = PacketArray.uniform(0, 100, np.empty(0))
+        for batches, k in (([b], 0), ([empty, b, empty], 1), ([empty, empty, b], 2)):
+            merged, src = PacketArray.merge(batches)
+            tags = np.concatenate([x.tags for x in batches])
+            sizes = np.concatenate([x.sizes for x in batches])
+            t = np.concatenate([x.times_ns for x in batches])
+            source = np.concatenate(
+                [np.full(len(x), i, dtype=np.int64) for i, x in enumerate(batches)]
+            )
+            order = np.argsort(t, kind="stable")
+            for got, want in (
+                (merged.tags, tags[order]),
+                (merged.sizes, sizes[order]),
+                (merged.times_ns, t[order]),
+                (src, source[order]),
+            ):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(src, np.full(5, k))
+            assert merged.meta == {}
+            assert merged is not b
+
 
 class TestLink:
     def test_serialization_and_propagation(self):
